@@ -2,8 +2,8 @@
 
 The chain dependency graph H collects rule-induced edges (trigger chain to
 target chain) and structural-nesting edges (enclosing chain to nested
-chain).  A chain's level is its longest-path length in H, computed by the
-monotone fix-point; sampling later proceeds level by level.
+chain).  A chain's level is its longest-path length in H, computed by one
+Kahn topological sort; sampling later proceeds level by level.
 """
 
 from __future__ import annotations
@@ -162,73 +162,55 @@ def expand_rules(ci: ChainIndex, rules: tuple[Rule, ...]) -> DependencyGraph:
     )
 
 
+def _kahn(h: DependencyGraph) -> tuple[dict[str, int], list[str]]:
+    """Kahn's topological sort: the longest-path level of every vertex it
+    orders, and the vertices left over (on a cycle or downstream of one)."""
+    successors: dict[str, list[str]] = {v: [] for v in h.vertices}
+    indegree = {v: 0 for v in h.vertices}
+    for a, b in h.edges:
+        successors[a].append(b)
+        indegree[b] += 1
+    level = {v: 0 for v in h.vertices}
+    ready = [v for v in h.vertices if indegree[v] == 0]
+    for a in ready:  # grows while it is walked
+        for b in successors[a]:
+            level[b] = max(level[b], level[a] + 1)
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                ready.append(b)
+    return level, [v for v in h.vertices if indegree[v] > 0]
+
+
 def check_acyclic(h: DependencyGraph) -> CycleWitness | None:
-    """Tarjan SCC; returns one non-singleton component, or None when acyclic."""
-    adjacency: dict[str, list[str]] = {v: [] for v in h.vertices}
+    """The chains of one cycle, or None when acyclic.
+
+    Every vertex Kahn leaves over keeps a left-over predecessor, so walking
+    back through those from the first one must repeat a vertex; the stretch
+    between the two visits is a cycle.
+    """
+    _, left = _kahn(h)
+    if not left:
+        return None
+    left_set = set(left)
+    predecessor: dict[str, str] = {}
     for a, b in sorted(h.edges):
-        adjacency[a].append(b)
-
-    index_of: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    witness: list[frozenset[str]] = []
-
-    def connect(v: str) -> None:
-        index_of[v] = lowlink[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in adjacency[v]:
-            if w not in index_of:
-                connect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index_of[w])
-        if lowlink[v] == index_of[v]:
-            component = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                component.append(w)
-                if w == v:
-                    break
-            if len(component) > 1 and not witness:
-                witness.append(frozenset(component))
-
-    for v in h.vertices:
-        if v not in index_of:
-            connect(v)
-
-    # a self-loop is a cycle even though its SCC is a singleton
-    if not witness:
-        for a, b in h.edges:
-            if a == b:
-                witness.append(frozenset({a}))
-                break
-
-    return CycleWitness(witness[0]) if witness else None
+        if a in left_set and b in left_set:
+            predecessor.setdefault(b, a)
+    path = [left[0]]
+    position = {left[0]: 0}
+    while True:
+        v = predecessor[path[-1]]
+        if v in position:
+            return CycleWitness(frozenset(path[position[v] :]))
+        position[v] = len(path)
+        path.append(v)
 
 
 def assign_levels(h: DependencyGraph) -> LevelMap:
-    """Monotone fix-point of level(b) = max(level(b), level(a) + 1) over edges."""
-    if check_acyclic(h) is not None:
+    """Longest-path level of every chain, from one Kahn pass."""
+    level, left = _kahn(h)
+    if left:
         raise BuildError("levels", "assign_levels called on a cyclic dependency graph")
-    level = {v: 0 for v in h.vertices}
-    nesting = sorted(h.nesting_edges)
-    rule_edges = sorted(h.rule_edges)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in nesting:
-            if level[a] + 1 > level[b]:
-                level[b] = level[a] + 1
-                changed = True
-        for a, b in rule_edges:
-            if level[a] + 1 > level[b]:
-                level[b] = level[a] + 1
-                changed = True
     return LevelMap(level)
 
 

@@ -72,13 +72,12 @@ def cmd_reduce(args) -> int:
     s = build_substrate(g)
     tree, ci = s.tree, s.chains
 
-    def show(node: str, indent: int) -> None:
+    stack = [(tree.root, 0)]
+    while stack:  # preorder, children in name order
+        node, indent = stack.pop()
         kind = tree.edge_type[node].value if node != tree.root else "root"
         print("  " * indent + f"- {node} [{kind}]")
-        for child in tree.children.get(node, ()):
-            show(child, indent + 1)
-
-    show(tree.root, 0)
+        stack.extend((child, indent + 1) for child in reversed(tree.children.get(node, ())))
     print()
     print("chains:")
     for cid in sorted(ci.chains):
@@ -213,11 +212,15 @@ def cmd_loop(args) -> int:
         action_tree_version=s.tree_version,
     )
     out_path = _resolve(args.out)
+    memory_path = _resolve(args.memory)
+    memory_path.touch()  # exists even when no attempt is made
     with open(out_path, "w") as fh:
         for index in indices:
             problem = env.problems[index]
 
             def emit(n, m, observables, reward, _index=index):
+                # run_trial has just recorded this attempt as the repository's last entry
+                io.append_memory(repo, repo.entries[-1], memory_path)
                 fh.write(
                     json.dumps(
                         {
@@ -243,7 +246,6 @@ def cmd_loop(args) -> int:
                 on_iteration=emit,
             )
             _say(args, f"problem {index}: best reward {result.best_reward!r} over {len(result.history)} attempts")
-    io.save_memory(repo, _resolve(args.memory))
     return 0
 
 

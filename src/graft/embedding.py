@@ -12,7 +12,6 @@ normalised Jaccard.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -47,19 +46,18 @@ class Fingerprint:
 
 
 def layout(tree: FactoredTree) -> Embedding:
-    """Recursive subdivision with parent-midpoint exclusion."""
+    """Nested subdivision with parent-midpoint exclusion."""
     rect: dict[str, tuple[float, float, float, float]] = {}
     depth: dict[str, int] = {}
-
-    def place(node: str, x0: float, x1: float, y0: float, y1: float, d: int) -> None:
+    stack = [(tree.root, 0.0, 1.0, 0.0, 1.0, 0)]
+    while stack:  # preorder, children in name order
+        node, x0, x1, y0, y1, d = stack.pop()
         rect[node] = (x0, x1, y0, y1)
         depth[node] = d
-        kids = tree.children.get(node, ())
-        if not kids:
-            return
         groups: dict[str, list[str]] = {}
-        for child in kids:  # already lexicographically sorted
+        for child in tree.children.get(node, ()):  # already lexicographically sorted
             groups.setdefault(tree.edge_type[child].value, []).append(child)
+        placed = []
         for kind, members in groups.items():
             n = len(members)
             if n % 2 == 0:
@@ -70,13 +68,13 @@ def layout(tree: FactoredTree) -> Embedding:
             if kind == "c":
                 h = (y1 - y0) / q
                 for i, child in zip(slots, members):
-                    place(child, x0, x1, y0 + i * h, y0 + (i + 1) * h, d + 1)
+                    placed.append((child, x0, x1, y0 + i * h, y0 + (i + 1) * h, d + 1))
             else:
                 w = (x1 - x0) / q
                 for i, child in zip(slots, members):
-                    place(child, x0 + i * w, x0 + (i + 1) * w, y0, y1, d + 1)
+                    placed.append((child, x0 + i * w, x0 + (i + 1) * w, y0, y1, d + 1))
+        stack.extend(reversed(placed))
 
-    place(tree.root, 0.0, 1.0, 0.0, 1.0, 0)
     max_depth = max(depth.values())
     position = {}
     for node, (x0, x1, y0, y1) in rect.items():
@@ -275,7 +273,3 @@ def landscape_export(
         degenerate_method_axis=degenerate_m,
     )
 
-
-def fingerprint_content_hash(fp: Fingerprint) -> str:
-    payload = f"{fp.tree_tag}|{fp.resolution}|{fp.keep}|{sorted(fp.cells)}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]

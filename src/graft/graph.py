@@ -43,12 +43,6 @@ class KnowledgeGraph:
     canonical_parent: dict[str, str] = field(default_factory=dict)
     rules: tuple[Rule, ...] = ()
 
-    def children_of(self, node: str) -> list[tuple[str, EdgeType]]:
-        return [(c, t) for p, c, t in self.edges if p == node]
-
-    def parents_of(self, node: str) -> list[tuple[str, EdgeType]]:
-        return [(p, t) for p, c, t in self.edges if c == node]
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -9,7 +9,6 @@ shortest-repr encoding json uses for binary64.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -31,62 +30,50 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _load_json(path: str | Path) -> dict:
+def _load_json(path: str | Path):
     try:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise GraftError(f"{path}: malformed JSON ({exc})") from exc
 
 
-def _expect_format(payload: dict, marker: str, path) -> None:
-    if payload.get("format") != marker:
+def _load_object(path: str | Path, marker: str | None = None) -> dict:
+    """A JSON object from ``path``, carrying ``marker`` as its format when given."""
+    payload = _load_json(path)
+    if not isinstance(payload, dict):
+        raise GraftError(f"{path}: expected a JSON object, found {type(payload).__name__}")
+    if marker is not None and payload.get("format") != marker:
         raise GraftError(f"{path}: expected a {marker} file, found {payload.get('format')!r}")
+    return payload
 
 
 # -- graph documents ---------------------------------------------------------
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
-    return graph_from_document(_load_json(path))
-
-
-def save_graph(g: KnowledgeGraph, path: str | Path) -> None:
-    Path(path).write_text(_dump(graph_to_document(g)))
+    return graph_from_document(_load_object(path))
 
 
 # -- substrate ---------------------------------------------------------------
 
 
 def save_substrate(s: Substrate, path: str | Path) -> None:
+    """The graph document and its hashes; everything else is rebuilt on load."""
     doc = graph_to_document(s.graph)
     payload = {
         "format": SUBSTRATE_FORMAT,
         "graph": doc,
         "content_hash": substrate_content_hash(doc),
         "tree_version": s.tree_version,
-        "tree": {
-            "root": s.tree.root,
-            "parent": dict(sorted(s.tree.parent.items())),
-            "edge_type": {n: t.value for n, t in sorted(s.tree.edge_type.items())},
-        },
-        "chains": {
-            cid: {"root": c.root, "members": list(c.members), "alphabet": list(c.alphabet)}
-            for cid, c in sorted(s.chains.chains.items())
-        },
-        "nesting_parent": dict(sorted(s.chains.nesting_parent.items())),
-        "dependency": {
-            "rule_edges": sorted(list(e) for e in s.dep.rule_edges),
-            "nesting_edges": sorted(list(e) for e in s.dep.nesting_edges),
-        },
-        "levels": dict(sorted(s.levels.level.items())),
-        "footprint": {"joint": s.joint_size, "factored": s.footprint},
     }
     Path(path).write_text(_dump(payload))
 
 
 def load_substrate(path: str | Path) -> Substrate:
-    payload = _load_json(path)
-    _expect_format(payload, SUBSTRATE_FORMAT, path)
+    payload = _load_object(path, SUBSTRATE_FORMAT)
+    for key in ("graph", "content_hash"):
+        if key not in payload:
+            raise GraftError(f"{path}: missing field {key!r}")
     doc = payload["graph"]
     if substrate_content_hash(doc) != payload["content_hash"]:
         raise GraftError(f"{path}: content hash mismatch, file has drifted")
@@ -112,8 +99,7 @@ def save_rows(rows: PolicyRows, path: str | Path) -> None:
 
 
 def load_rows(path: str | Path) -> PolicyRows:
-    payload = _load_json(path)
-    _expect_format(payload, ROWS_FORMAT, path)
+    payload = _load_object(path, ROWS_FORMAT)
     rows = {
         node: ProbabilityRow(options=tuple(r["options"]), mass=tuple(r["mass"]))
         for node, r in payload["rows"].items()
@@ -148,8 +134,7 @@ def fingerprint_from_payload(payload: dict) -> Fingerprint:
 
 
 def load_fingerprint(path: str | Path) -> Fingerprint:
-    payload = _load_json(path)
-    _expect_format(payload, FINGERPRINT_FORMAT, path)
+    payload = _load_object(path, FINGERPRINT_FORMAT)
     return fingerprint_from_payload(payload)
 
 
@@ -165,8 +150,7 @@ def save_method(m: MethodTuple, path: str | Path) -> None:
 
 
 def load_method(path: str | Path) -> MethodTuple:
-    payload = _load_json(path)
-    _expect_format(payload, METHOD_FORMAT, path)
+    payload = _load_object(path, METHOD_FORMAT)
     return MethodTuple.from_picks(payload["picks"])
 
 
@@ -188,15 +172,12 @@ def load_method_list(path: str | Path) -> list[MethodTuple]:
 
 
 def _entry_payload(entry: MemoryEntry, repo: MemoryRepository) -> dict:
+    problem_fp = fingerprint_payload(entry.problem_fp)
+    del problem_fp["format"]  # memory records have never carried the marker
     return {
         "problem_tree_version": repo.problem_tree_version,
         "action_tree_version": repo.action_tree_version,
-        "problem_fp": {
-            "tree_tag": entry.problem_fp.tree_tag,
-            "resolution": entry.problem_fp.resolution,
-            "keep": entry.problem_fp.keep,
-            "cells": sorted(list(c) for c in entry.problem_fp.cells),
-        },
+        "problem_fp": problem_fp,
         "method": {k: v for k, v in entry.method.items},
         "method_path_nodes": sorted(entry.method_path_nodes),
         "observables": dict(sorted(entry.observables.items())),
@@ -206,14 +187,8 @@ def _entry_payload(entry: MemoryEntry, repo: MemoryRepository) -> dict:
 
 
 def _entry_from_payload(payload: dict) -> MemoryEntry:
-    fp = payload["problem_fp"]
     return MemoryEntry(
-        problem_fp=Fingerprint(
-            cells=frozenset(tuple(c) for c in fp["cells"]),
-            resolution=fp["resolution"],
-            tree_tag=fp["tree_tag"],
-            keep=fp["keep"],
-        ),
+        problem_fp=fingerprint_from_payload(payload["problem_fp"]),
         method=MethodTuple.from_picks(payload["method"]),
         method_path_nodes=frozenset(payload["method_path_nodes"]),
         observables=dict(payload["observables"]),
@@ -257,6 +232,8 @@ def load_memory(
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise GraftError(f"{path}:{i + 1}: malformed record ({exc})") from exc
+            if not isinstance(payload, dict):
+                raise GraftError(f"{path}:{i + 1}: expected a JSON object, found {type(payload).__name__}")
             record_versions = (payload["problem_tree_version"], payload["action_tree_version"])
             if versions is None:
                 versions = record_versions
@@ -299,8 +276,7 @@ def save_embedding(e: Embedding, path: str | Path) -> None:
 
 
 def load_embedding(path: str | Path) -> Embedding:
-    payload = _load_json(path)
-    _expect_format(payload, EMBEDDING_FORMAT, path)
+    payload = _load_object(path, EMBEDDING_FORMAT)
     return Embedding(
         position={n: tuple(p) for n, p in payload["position"].items()},
         depth=dict(payload["depth"]),
@@ -310,6 +286,3 @@ def load_embedding(path: str | Path) -> Embedding:
         tree_version=payload["tree_version"],
     )
 
-
-def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

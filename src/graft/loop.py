@@ -30,6 +30,7 @@ from .memory import MemoryEntry, MemoryRepository, PriorParams, R_MAX, compile_p
 from .policy import (
     MethodTuple,
     PolicyRows,
+    _draw,
     chain_kernel,
     method_path_nodes,
     method_probability,
@@ -160,6 +161,7 @@ def advisor_edit(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     order = strategy_fn(projections, rng)
+    tried = history.methods()
 
     for cid in order:
         kernel = chain_kernel(substrate, rows, cid, picks)
@@ -167,18 +169,11 @@ def advisor_edit(
         weights = [kernel[v] for v in candidates]
         while candidates:
             # weighted draw without replacement from the edited kernel
-            total = sum(weights)
-            u = rng.random() * total
-            acc, idx = 0.0, len(candidates) - 1
-            for i, w in enumerate(weights):
-                acc += w
-                if u < acc:
-                    idx = i
-                    break
+            idx = _draw(rng, list(range(len(candidates))), weights)
             v = candidates.pop(idx)
             weights.pop(idx)
             edited = last.with_value(cid, v)
-            if edited in avoid or edited in history.methods():
+            if edited in avoid or edited in tried:
                 continue
             if method_probability(substrate, rows, edited) > 0.0:
                 return edited
@@ -479,7 +474,6 @@ def make_synthetic_env(spec: SyntheticEnvSpec, seed: int) -> SyntheticEnvironmen
 def _tuple_from_path(substrate: Substrate, path_nodes: frozenset[str]) -> MethodTuple:
     picks: dict[str, Optional[str]] = {}
     for cid in substrate.chain_order:
-        chain = substrate.chains.chains[cid]
         hit = [v for v in substrate.chain_value_domain(cid) if v in path_nodes]
         picks[cid] = hit[0] if hit else None
     return MethodTuple.from_picks(picks)

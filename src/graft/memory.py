@@ -24,6 +24,7 @@ from .policy import (
     internal_s_nodes,
     op_force,
     op_zero,
+    uniform_row,
     uniform_rows,
 )
 from .reduction import FactoredTree
@@ -95,11 +96,6 @@ def neighbor_weight(similarity: float, reward: float, params: PriorParams = Prio
     return gate * (reward / params.r_max)
 
 
-def _uniform_row(tree: FactoredTree, node: str) -> ProbabilityRow:
-    kids = tree.s_children(node)
-    return ProbabilityRow(options=kids, mass=tuple(1.0 / len(kids) for _ in kids))
-
-
 def _chosen_child(tree: FactoredTree, node: str, path: frozenset[str]) -> str | None:
     hits = [c for c in tree.s_children(node) if c in path]
     if len(hits) > 1:
@@ -127,7 +123,7 @@ def partial_spec(entry: MemoryEntry, tree: FactoredTree) -> dict[str, Probabilit
     for node in sorted(n for n in tree.depth if tree.s_children(n)):
         chosen = _vote(entry, tree, node)
         if chosen is None:
-            spec[node] = _uniform_row(tree, node)
+            spec[node] = uniform_row(tree, node)
         else:
             kids = tree.s_children(node)
             spec[node] = ProbabilityRow(
@@ -221,6 +217,23 @@ def _apply_certain_rules(substrate: Substrate, rows: dict[str, ProbabilityRow]) 
                     rows[node] = op(rows[node], drop, rule_hint=rule.hint)
 
 
+def _inherit_rows(new_sub: Substrate, rows: PolicyRows, parent: str, reshape) -> PolicyRows:
+    """Rows for a rebuilt substrate: a row whose options did not change is
+    kept, ``parent``'s old row goes through ``reshape`` when one is given,
+    and every other row starts uniform."""
+    new_rows: dict[str, ProbabilityRow] = {}
+    for node in internal_s_nodes(new_sub):
+        kids = new_sub.tree.s_children(node)
+        old = rows.rows.get(node)
+        if old is not None and old.options == kids:
+            new_rows[node] = old
+        elif old is not None and node == parent and reshape is not None:
+            new_rows[node] = reshape(old, kids)
+        else:
+            new_rows[node] = uniform_row(new_sub.tree, node)
+    return PolicyRows(rows=new_rows, tree_version=new_sub.tree_version)
+
+
 def grow_tree(
     substrate: Substrate,
     rows: PolicyRows,
@@ -258,23 +271,14 @@ def grow_tree(
     )
     new_sub = build_substrate(grown)
 
-    new_rows: dict[str, ProbabilityRow] = {}
-    for node in internal_s_nodes(new_sub):
-        kids = new_sub.tree.s_children(node)
-        old = rows.rows.get(node)
-        if old is not None and old.options == kids:
-            new_rows[node] = old
-        elif old is not None and node == parent and edge_kind is EdgeType.SUBDIVIDES_IN:
-            mean = sum(old.mass) / len(old.mass)
-            mass = {o: m for o, m in zip(old.options, old.mass)}
-            mass[new_child] = mean
-            total = sum(mass.values())
-            new_rows[node] = ProbabilityRow(
-                options=kids, mass=tuple(mass[k] / total for k in kids)
-            )
-        else:
-            new_rows[node] = _uniform_row(new_sub.tree, node)
-    return new_sub, PolicyRows(rows=new_rows, tree_version=new_sub.tree_version)
+    def add_child(old: ProbabilityRow, kids: tuple[str, ...]) -> ProbabilityRow:
+        mass = dict(zip(old.options, old.mass))
+        mass[new_child] = sum(old.mass) / len(old.mass)
+        total = sum(mass.values())
+        return ProbabilityRow(options=kids, mass=tuple(mass[k] / total for k in kids))
+
+    reshape = add_child if edge_kind is EdgeType.SUBDIVIDES_IN else None
+    return new_sub, _inherit_rows(new_sub, rows, parent, reshape)
 
 
 def remove_node(
@@ -313,23 +317,13 @@ def remove_node(
     )
     new_sub = build_substrate(shrunk)
 
-    new_rows: dict[str, ProbabilityRow] = {}
-    for n in internal_s_nodes(new_sub):
-        kids = new_sub.tree.s_children(n)
-        old = rows.rows.get(n)
-        if old is not None and old.options == kids:
-            new_rows[n] = old
-        elif old is not None and n == parent:
-            new_rows[n] = op_zero(old, {node})
-            new_rows[n] = ProbabilityRow(
-                options=kids, mass=tuple(new_rows[n].probability_of(k) for k in kids)
-            )
-        else:
-            new_rows[n] = _uniform_row(new_sub.tree, n)
+    def drop_child(old: ProbabilityRow, kids: tuple[str, ...]) -> ProbabilityRow:
+        kept = op_zero(old, {node})
+        return ProbabilityRow(options=kids, mass=tuple(kept.probability_of(k) for k in kids))
 
+    new_rows = _inherit_rows(new_sub, rows, parent, drop_child)
     if repo is not None:
         for entry in repo.entries:
             if node in entry.method_path_nodes:
                 entry.stale = True
-
-    return new_sub, PolicyRows(rows=new_rows, tree_version=new_sub.tree_version)
+    return new_sub, new_rows

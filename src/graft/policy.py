@@ -23,6 +23,7 @@ import numpy as np
 
 from .build import Substrate
 from .errors import EnumerationCapError, RuleSupportError, SupportExhaustedError, VersionMismatchError
+from .reduction import FactoredTree
 
 MASS_TOLERANCE = 1e-12
 
@@ -74,9 +75,6 @@ class MethodTuple:
     def picks(self) -> dict[str, Optional[str]]:
         return dict(self.items)
 
-    def value(self, chain_id: str) -> Optional[str]:
-        return self.picks[chain_id]
-
     def with_value(self, chain_id: str, value: Optional[str]) -> "MethodTuple":
         picks = self.picks
         picks[chain_id] = value
@@ -87,11 +85,13 @@ def internal_s_nodes(substrate: Substrate) -> tuple[str, ...]:
     return tuple(sorted(n for n in substrate.tree.nodes if substrate.tree.s_children(n)))
 
 
+def uniform_row(tree: FactoredTree, node: str) -> ProbabilityRow:
+    kids = tree.s_children(node)
+    return ProbabilityRow(options=kids, mass=tuple(1.0 / len(kids) for _ in kids))
+
+
 def uniform_rows(substrate: Substrate) -> PolicyRows:
-    rows = {}
-    for n in internal_s_nodes(substrate):
-        kids = substrate.tree.s_children(n)
-        rows[n] = ProbabilityRow(options=kids, mass=tuple(1.0 / len(kids) for _ in kids))
+    rows = {n: uniform_row(substrate.tree, n) for n in internal_s_nodes(substrate)}
     return PolicyRows(rows=rows, tree_version=substrate.tree_version)
 
 
@@ -138,17 +138,15 @@ def chain_prior(substrate: Substrate, rows: PolicyRows, chain_id: str) -> Probab
     if not chain.is_decision:
         raise ValueError(f"chain {chain_id} carries no decision")
     probs: dict[str, float] = {}
-
-    def walk(node: str, acc: float) -> None:
+    stack = [(chain.root, 1.0)]
+    while stack:
+        node, acc = stack.pop()
         kids = substrate.tree.s_children(node)
         if not kids:
             probs[node] = acc
-            return
+            continue
         row = rows.rows[node]
-        for child in kids:
-            walk(child, acc * row.probability_of(child))
-
-    walk(chain.root, 1.0)
+        stack.extend((child, acc * row.probability_of(child)) for child in kids)
     return ProbabilityRow(options=chain.alphabet, mass=tuple(probs[a] for a in chain.alphabet))
 
 

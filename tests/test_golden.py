@@ -46,8 +46,7 @@ from graft.fixtures import morning_graph_document
 from graft.graph import graph_to_document
 from graft.loop import _flat_graph
 
-sys.path.insert(0, str(Path(__file__).parent))
-from oracles import random_rows, random_substrate_document  # noqa: E402
+from oracles import random_rows, random_substrate_document
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 

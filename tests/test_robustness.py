@@ -1,0 +1,157 @@
+"""Deep graphs, malformed files and interrupted loops end in a result or in
+one ``error:`` line, never in a traceback or a lost memory file."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from graft import build_substrate, graph_from_document, layout, sample_method, uniform_rows
+from graft import io
+from graft.fixtures import morning_graph_document
+from graft.graph import graph_to_document
+from graft.loop import _flat_graph
+
+DEPTH = 1200
+
+
+def s_chain_document(depth: int) -> dict:
+    """One chain whose s-decisions nest ``depth`` levels deep."""
+    nodes, edges = ["root", "head"], [{"parent": "root", "child": "head", "type": "c"}]
+    here = "head"
+    for i in range(depth):
+        nodes += [f"leaf{i}", f"s{i}"]
+        edges += [
+            {"parent": here, "child": f"leaf{i}", "type": "s"},
+            {"parent": here, "child": f"s{i}", "type": "s"},
+        ]
+        here = f"s{i}"
+    return {"root": "root", "nodes": nodes, "edges": edges}
+
+
+def nesting_chain_document(depth: int) -> dict:
+    """``depth`` chains, each nested under an option of the one above."""
+    nodes, edges = ["root"], []
+    here = "root"
+    for i in range(depth):
+        nodes += [f"c{i}", f"c{i}_a", f"c{i}_b"]
+        edges += [
+            {"parent": here, "child": f"c{i}", "type": "c"},
+            {"parent": f"c{i}", "child": f"c{i}_a", "type": "s"},
+            {"parent": f"c{i}", "child": f"c{i}_b", "type": "s"},
+        ]
+        here = f"c{i}_b"
+    return {"root": "root", "nodes": nodes, "edges": edges}
+
+
+def run_cli(*argv, cwd):
+    """``graft --quiet`` with relative paths resolved against ``cwd``."""
+    env = dict(os.environ, GRAFT_WORKSPACE=str(cwd))
+    return subprocess.run([sys.executable, "-m", "graft", "--quiet", *argv], capture_output=True, text=True, env=env)
+
+
+def assert_one_error_line(out):
+    """Exit 1 with exactly one ``error:`` line on stderr, so no traceback."""
+    assert out.returncode == 1, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
+@pytest.mark.parametrize("make_document", [s_chain_document, nesting_chain_document])
+def test_deep_graphs_build_lay_out_sample_and_print(make_document, tmp_path):
+    doc = make_document(DEPTH)
+    s = build_substrate(graph_from_document(doc))
+    assert max(s.tree.depth.values()) >= DEPTH
+    assert max(layout(s.tree).depth.values()) >= DEPTH
+    m = sample_method(s, uniform_rows(s), seed=0)
+    assert set(m.picks) == set(s.chain_order)
+
+    (tmp_path / "deep.json").write_text(json.dumps(doc))
+    out = run_cli("build", "deep.json", "--out", "deep-substrate.json", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    out = run_cli("reduce", "deep.json", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert f"- {'s' if make_document is s_chain_document else 'c'}{DEPTH - 1}" in out.stdout
+
+
+def _substrate_without(field):
+    def write(tmp_path):
+        run_cli("build", "morning.json", "--out", "sub.json", cwd=tmp_path)
+        payload = json.loads((tmp_path / "sub.json").read_text())
+        del payload[field]
+        (tmp_path / "sub.json").write_text(json.dumps(payload))
+        return ["footprint", "sub.json"], f"missing field {field!r}"
+
+    return write
+
+
+def _file_holding(text, argv, needle):
+    def write(tmp_path):
+        (tmp_path / "bad.json").write_text(text)
+        fp = {"format": "graft-fingerprint/1", "tree_tag": "t", "resolution": 4, "keep": "s", "cells": [[0, 0, 1]]}
+        (tmp_path / "p.fp").write_text(json.dumps(fp))
+        return argv, needle
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _file_holding("[1, 2]", ["footprint", "bad.json"], "bad.json: expected a JSON object"),
+        _file_holding('"text"', ["validate", "bad.json"], "bad.json: expected a JSON object"),
+        _file_holding("3", ["similarity", "bad.json", "bad.json"], "bad.json: expected a JSON object"),
+        _file_holding("[]", ["neighbors", "bad.json", "--problem", "bad.json"], "bad.json: expected a JSON object"),
+        _file_holding("[[]]\n", ["neighbors", "bad.json", "--problem", "p.fp"], "bad.json:1: expected a JSON object"),
+        _substrate_without("graph"),
+        _substrate_without("content_hash"),
+    ],
+    ids=["array", "string", "number", "empty-array", "memory-line-array", "no-graph", "no-content-hash"],
+)
+def test_malformed_files_end_in_one_error_line(case, tmp_path):
+    (tmp_path / "morning.json").write_text(json.dumps(morning_graph_document()))
+    argv, needle = case(tmp_path)
+    out = run_cli(*argv, cwd=tmp_path)
+    assert_one_error_line(out)
+    assert needle in out.stderr
+
+
+def _loop_workdir(tmp_path, action_doc):
+    (tmp_path / "pg.json").write_text(json.dumps(graph_to_document(_flat_graph("p", 3, 2))))
+    (tmp_path / "ag.json").write_text(json.dumps(action_doc))
+    spec = {"problem_count": 3, "mutation_rate": 0.4, "noise_level": 1.0, "problem_graph": "pg.json", "action_graph": "ag.json"}
+    (tmp_path / "env.json").write_text(json.dumps(spec))
+    assert run_cli("build", "ag.json", "--out", "asub.json", cwd=tmp_path).returncode == 0
+
+
+def test_loop_keeps_every_attempt_it_reported_when_a_trial_fails(tmp_path):
+    # the second rule conflicts with the first whenever both fire, so a
+    # later draw hits empty support and the loop stops with an error
+    doc = morning_graph_document()
+    doc["rules"].append({"hint": "conflict", "trigger": ["breakfast_yes"], "target": ["helmet_no"], "effect": "force"})
+    _loop_workdir(tmp_path, doc)
+    out = run_cli(
+        "loop", "asub.json", "memory.jsonl", "--env-spec", "env.json", "--seed", "2", "--budget", "6",
+        "--out", "report.jsonl", cwd=tmp_path,
+    )  # fmt: skip
+    assert_one_error_line(out)
+    report = (tmp_path / "report.jsonl").read_text().splitlines()
+    memory = (tmp_path / "memory.jsonl").read_text().splitlines()
+    assert len(report) >= 1
+    assert len(memory) == len(report)
+    for line, entry in zip(report, memory):
+        assert json.loads(line)["method"] == json.loads(entry)["method"]
+
+
+
+def test_substrate_file_with_derived_sections_still_loads(tmp_path):
+    # files written before the derived sections were dropped carry them too
+    s = build_substrate(graph_from_document(morning_graph_document()))
+    io.save_substrate(s, tmp_path / "sub.json")
+    payload = json.loads((tmp_path / "sub.json").read_text())
+    payload["levels"] = dict(s.levels.level)
+    payload["footprint"] = {"joint": s.joint_size, "factored": s.footprint}
+    (tmp_path / "old.json").write_text(json.dumps(payload))
+    assert io.load_substrate(tmp_path / "old.json").levels.level == s.levels.level
