@@ -219,15 +219,15 @@ def _apply_certain_rules(substrate: Substrate, rows: dict[str, ProbabilityRow]) 
 
 def _inherit_rows(new_sub: Substrate, rows: PolicyRows, parent: str, reshape) -> PolicyRows:
     """Rows for a rebuilt substrate: a row whose options did not change is
-    kept, ``parent``'s old row goes through ``reshape`` when one is given,
-    and every other row starts uniform."""
+    kept, ``parent``'s old row goes through ``reshape``, and every other row
+    starts uniform."""
     new_rows: dict[str, ProbabilityRow] = {}
     for node in internal_s_nodes(new_sub):
         kids = new_sub.tree.s_children(node)
         old = rows.rows.get(node)
         if old is not None and old.options == kids:
             new_rows[node] = old
-        elif old is not None and node == parent and reshape is not None:
+        elif old is not None and node == parent:
             new_rows[node] = reshape(old, kids)
         else:
             new_rows[node] = uniform_row(new_sub.tree, node)
@@ -277,8 +277,8 @@ def grow_tree(
         total = sum(mass.values())
         return ProbabilityRow(options=kids, mass=tuple(mass[k] / total for k in kids))
 
-    reshape = add_child if edge_kind is EdgeType.SUBDIVIDES_IN else None
-    return new_sub, _inherit_rows(new_sub, rows, parent, reshape)
+    # parents of c-entered children carry no row, so add_child only meets s-parents
+    return new_sub, _inherit_rows(new_sub, rows, parent, add_child)
 
 
 def remove_node(
