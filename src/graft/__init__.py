@@ -87,7 +87,6 @@ from .policy import (
     MethodTuple,
     PolicyRows,
     ProbabilityRow,
-    chain_active,
     chain_kernel,
     chain_prior,
     edited_chain_distribution,

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BuildError, GraphValidationError
-from .graph import KnowledgeGraph, Rule, validate_graph
+from .errors import BuildError
+from .graph import KnowledgeGraph, Rule
 from .reduction import ChainIndex, FactoredTree, extract_chains, reduce_to_tree
 
 
@@ -272,14 +272,10 @@ def substrate_content_hash(graph_document: dict) -> str:
 
 
 def build_substrate(g: KnowledgeGraph) -> Substrate:
-    """Run the full build: validate, reduce, chain, expand, check, level."""
+    """Run the full build: validate and reduce, chain, expand, check, level."""
     from .graph import graph_to_document
 
-    report = validate_graph(g)
-    if not report.ok:
-        raise GraphValidationError(report)
-
-    tree = reduce_to_tree(g, validate=False)
+    tree = reduce_to_tree(g)
     ci = extract_chains(tree)
     dep = expand_rules(ci, g.rules)
     witness = check_acyclic(dep)

@@ -9,6 +9,7 @@ round-trip form.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,6 +35,7 @@ from .policy import (
     method_path_nodes,
     method_probability,
     sample_method,
+    validate_tuple,
 )
 from .reduction import extract_chains
 
@@ -161,7 +163,8 @@ def cmd_record(args) -> int:
     s = _load_substrate_for(args)
     p_fp = io.load_fingerprint(_resolve(args.problem))
     m = io.load_method(_resolve(args.method))
-    observables = json.loads(Path(_resolve(args.observables)).read_text()) if args.observables else {}
+    validate_tuple(s, m)
+    observables = io.load_object(_resolve(args.observables)) if args.observables else {}
     repo = io.load_memory(
         _resolve(args.memory),
         problem_tree_version=p_fp.tree_tag,
@@ -192,12 +195,17 @@ def cmd_neighbors(args) -> int:
 
 def cmd_loop(args) -> int:
     s = _load_substrate_for(args)
-    spec_payload = json.loads(Path(_resolve(args.env_spec)).read_text())
+    spec_path, spec_fields = _resolve(args.env_spec), dataclasses.fields(SyntheticEnvSpec)
+    required = tuple(f.name for f in spec_fields if f.default is dataclasses.MISSING)
+    spec_payload = io.load_object(spec_path, fields=required)
+    unknown = sorted(set(spec_payload) - {f.name for f in spec_fields})
+    if unknown:
+        raise GraftError(f"{spec_path}: unknown field {unknown[0]!r}")
     if args.env != "synthetic":
         raise GraftError(f"unknown environment {args.env!r}; only 'synthetic' ships built-in")
     for key in ("problem_graph", "action_graph"):
         if isinstance(spec_payload.get(key), str):
-            spec_payload[key] = json.loads(Path(_resolve(spec_payload[key])).read_text())
+            spec_payload[key] = io.load_object(_resolve(spec_payload[key]))
     spec = SyntheticEnvSpec(**spec_payload)
     env = make_synthetic_env(spec, args.seed)
     if env.action_substrate.version != s.version:
@@ -206,6 +214,8 @@ def cmd_loop(args) -> int:
             f"({s.version} vs {env.action_substrate.version})"
         )
     indices = range(len(env.problems)) if args.problems == "all" else [int(args.problems)]
+    if not all(0 <= i < len(env.problems) for i in indices):
+        raise GraftError(f"--problems {args.problems} is not a problem index (0 to {len(env.problems) - 1})")
     repo = io.load_memory(
         _resolve(args.memory),
         problem_tree_version=env.problem_substrate.tree_version,

@@ -24,34 +24,45 @@ ROWS_FORMAT = "graft-rows/1"
 FINGERPRINT_FORMAT = "graft-fingerprint/1"
 METHOD_FORMAT = "graft-method/1"
 EMBEDDING_FORMAT = "graft-embedding/1"
+FINGERPRINT_FIELDS = ("cells", "resolution", "tree_tag", "keep")
+MEMORY_FIELDS = (  # every field of a memory record but the optional "stale"
+    "problem_tree_version", "action_tree_version", "problem_fp", "method", "method_path_nodes", "observables", "reward"
+)
 
 
 def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _load_json(path: str | Path):
+def _parse_json(where: str | Path, text: str):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise GraftError(f"{path}: malformed JSON ({exc})") from exc
+        raise GraftError(f"{where}: malformed JSON ({exc})") from exc
 
 
-def _load_object(path: str | Path, marker: str | None = None) -> dict:
-    """A JSON object from ``path``, carrying ``marker`` as its format when given."""
-    payload = _load_json(path)
+def _object(where: str | Path, payload, marker: str | None = None, fields: tuple[str, ...] = ()) -> dict:
+    """``payload`` checked to be a JSON object carrying ``marker`` as its
+    format when given and every one of ``fields``; errors name ``where``."""
     if not isinstance(payload, dict):
-        raise GraftError(f"{path}: expected a JSON object, found {type(payload).__name__}")
+        raise GraftError(f"{where}: expected a JSON object, found {type(payload).__name__}")
     if marker is not None and payload.get("format") != marker:
-        raise GraftError(f"{path}: expected a {marker} file, found {payload.get('format')!r}")
+        raise GraftError(f"{where}: expected a {marker} file, found {payload.get('format')!r}")
+    for key in fields:
+        if key not in payload:
+            raise GraftError(f"{where}: missing field {key!r}")
     return payload
+
+
+def load_object(path: str | Path, marker: str | None = None, fields: tuple[str, ...] = ()) -> dict:
+    return _object(path, _parse_json(path, Path(path).read_text()), marker, fields)
 
 
 # -- graph documents ---------------------------------------------------------
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
-    return graph_from_document(_load_object(path))
+    return graph_from_document(load_object(path))
 
 
 # -- substrate ---------------------------------------------------------------
@@ -70,10 +81,7 @@ def save_substrate(s: Substrate, path: str | Path) -> None:
 
 
 def load_substrate(path: str | Path) -> Substrate:
-    payload = _load_object(path, SUBSTRATE_FORMAT)
-    for key in ("graph", "content_hash"):
-        if key not in payload:
-            raise GraftError(f"{path}: missing field {key!r}")
+    payload = load_object(path, SUBSTRATE_FORMAT, ("graph", "content_hash"))
     doc = payload["graph"]
     if substrate_content_hash(doc) != payload["content_hash"]:
         raise GraftError(f"{path}: content hash mismatch, file has drifted")
@@ -99,7 +107,7 @@ def save_rows(rows: PolicyRows, path: str | Path) -> None:
 
 
 def load_rows(path: str | Path) -> PolicyRows:
-    payload = _load_object(path, ROWS_FORMAT)
+    payload = load_object(path, ROWS_FORMAT, ("rows", "tree_version"))
     rows = {
         node: ProbabilityRow(options=tuple(r["options"]), mass=tuple(r["mass"]))
         for node, r in payload["rows"].items()
@@ -134,8 +142,7 @@ def fingerprint_from_payload(payload: dict) -> Fingerprint:
 
 
 def load_fingerprint(path: str | Path) -> Fingerprint:
-    payload = _load_object(path, FINGERPRINT_FORMAT)
-    return fingerprint_from_payload(payload)
+    return fingerprint_from_payload(load_object(path, FINGERPRINT_FORMAT, FINGERPRINT_FIELDS))
 
 
 # -- method tuples -----------------------------------------------------------
@@ -150,13 +157,12 @@ def save_method(m: MethodTuple, path: str | Path) -> None:
 
 
 def load_method(path: str | Path) -> MethodTuple:
-    payload = _load_object(path, METHOD_FORMAT)
-    return MethodTuple.from_picks(payload["picks"])
+    return MethodTuple.from_picks(load_object(path, METHOD_FORMAT, ("picks",))["picks"])
 
 
 def load_method_list(path: str | Path) -> list[MethodTuple]:
     """A JSON array of picks objects (or method payloads), e.g. an avoid set."""
-    payload = _load_json(path)
+    payload = _parse_json(path, Path(path).read_text())
     if not isinstance(payload, list):
         raise GraftError(f"{path}: expected a JSON array of method records")
     out = []
@@ -228,12 +234,9 @@ def load_memory(
         for i, line in enumerate(p.read_text().splitlines()):
             if not line.strip():
                 continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GraftError(f"{path}:{i + 1}: malformed record ({exc})") from exc
-            if not isinstance(payload, dict):
-                raise GraftError(f"{path}:{i + 1}: expected a JSON object, found {type(payload).__name__}")
+            where = f"{path}:{i + 1}"
+            payload = _object(where, _parse_json(where, line), fields=MEMORY_FIELDS)
+            _object(f"{where}: problem_fp", payload["problem_fp"], fields=FINGERPRINT_FIELDS)
             record_versions = (payload["problem_tree_version"], payload["action_tree_version"])
             if versions is None:
                 versions = record_versions
@@ -276,7 +279,8 @@ def save_embedding(e: Embedding, path: str | Path) -> None:
 
 
 def load_embedding(path: str | Path) -> Embedding:
-    payload = _load_object(path, EMBEDDING_FORMAT)
+    fields = ("position", "depth", "max_depth", "rect", "entered_by", "tree_version")
+    payload = load_object(path, EMBEDDING_FORMAT, fields)
     return Embedding(
         position={n: tuple(p) for n, p in payload["position"].items()},
         depth=dict(payload["depth"]),

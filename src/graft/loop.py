@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Union
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .build import Substrate, build_substrate
 from .embedding import Embedding, Fingerprint, fingerprint, jaccard, layout, min_injective_k
 from .errors import GraftError, SupportExhaustedError
 from .graph import KnowledgeGraph, graph_from_document
-from .memory import MemoryEntry, MemoryRepository, PriorParams, R_MAX, compile_prior, record
+from .memory import MemoryEntry, MemoryRepository, R_MAX, compile_prior, record
 from .policy import (
     MethodTuple,
     PolicyRows,
@@ -38,38 +38,33 @@ from .policy import (
     uniform_rows,
 )
 
-@dataclass(frozen=True)
-class ChainProjection:
-    """The slice of trial history an edit strategy may consult for one chain:
-    the current pick and the rewards of attempts sharing that pick.  Keeping
-    strategies to this view is what preserves the per-chain factorisation."""
 
-    chain_id: str
-    pick: str
-    shared_rewards: tuple[float, ...]
-
-
-# a strategy orders the editable chains by preference, most promising first
-EditStrategy = Callable[[list["ChainProjection"], np.random.Generator], list[str]]
-
-
-def random_chain_strategy(projections: list[ChainProjection], rng: np.random.Generator) -> list[str]:
-    order = [p.chain_id for p in projections]
+def random_chain_strategy(shared: dict[str, tuple[float, ...]], rng: np.random.Generator) -> list[str]:
+    order = list(shared)
     rng.shuffle(order)
     return order
 
 
-def worst_chain_strategy(projections: list[ChainProjection], rng: np.random.Generator) -> list[str]:
-    def mean_reward(p: ChainProjection) -> float:
-        return sum(p.shared_rewards) / len(p.shared_rewards) if p.shared_rewards else R_MAX
+def worst_chain_strategy(shared: dict[str, tuple[float, ...]], rng: np.random.Generator) -> list[str]:
+    def mean_reward(cid: str) -> float:
+        return sum(shared[cid]) / len(shared[cid]) if shared[cid] else R_MAX
 
-    return [p.chain_id for p in sorted(projections, key=lambda p: (mean_reward(p), p.chain_id))]
+    return sorted(shared, key=lambda cid: (mean_reward(cid), cid))
 
 
-ADVISOR_STRATEGIES: dict[str, EditStrategy] = {
+# A strategy orders the editable chains, most promising first.  It sees only
+# {chain id: rewards of the attempts sharing the current pick on it}; keeping
+# strategies to this view is what preserves the per-chain factorisation.
+ADVISOR_STRATEGIES = {
     "random-chain": random_chain_strategy,
     "worst-chain": worst_chain_strategy,
 }
+
+
+def _editable_chains(substrate: Substrate, m: MethodTuple) -> list[str]:
+    """Decision chains ``m`` activates that offer more than one value."""
+    picks, chains = m.picks, substrate.chains.chains
+    return [c for c in substrate.decision_chain_ids if picks.get(c) is not None and len(chains[c].alphabet) > 1]
 
 
 @dataclass(frozen=True)
@@ -121,46 +116,36 @@ def advisor_edit(
     last: MethodTuple,
     substrate: Substrate,
     rows: PolicyRows,
-    strategy: Union[str, EditStrategy],
+    strategy: str,
     seed: int,
     avoid: set[MethodTuple] | frozenset[MethodTuple] = frozenset(),
 ) -> Optional[MethodTuple]:
     """Propose a tuple differing from ``last`` on exactly one chain.
 
-    ``strategy`` is a built-in name ("random-chain", "worst-chain") or any
-    callable over the per-chain history projections; it orders the editable
-    chains by preference.  The replacement value is drawn from the edited
-    kernel given the other picks, restricted to values keeping the full
-    tuple admissible and outside ``avoid``.  Returns None when no admissible
-    single-chain edit exists.
+    ``strategy`` names an entry of ``ADVISOR_STRATEGIES`` ("random-chain",
+    "worst-chain"); it orders the editable chains by preference.  The
+    replacement value is drawn from the edited kernel given the other
+    picks, restricted to values keeping the full tuple admissible and
+    outside ``avoid``.  Returns None when no admissible single-chain edit
+    exists.
     """
-    if isinstance(strategy, str):
-        try:
-            strategy_fn = ADVISOR_STRATEGIES[strategy]
-        except KeyError:
-            raise ValueError(f"unknown advisor strategy {strategy!r}") from None
-    else:
-        strategy_fn = strategy
+    try:
+        strategy_fn = ADVISOR_STRATEGIES[strategy]
+    except KeyError:
+        raise ValueError(f"unknown advisor strategy {strategy!r}") from None
     if not history.records:
         raise ValueError("advisor needs a non-empty trial history")
 
     picks = last.picks
-    projections = [
-        ChainProjection(
-            chain_id=cid,
-            pick=picks[cid],
-            shared_rewards=tuple(
-                r.reward for r in history.records if r.method.picks.get(cid) == picks[cid]
-            ),
-        )
-        for cid in substrate.decision_chain_ids
-        if picks.get(cid) is not None and len(substrate.chains.chains[cid].alphabet) > 1
-    ]
-    if not projections:
+    shared = {
+        cid: tuple(r.reward for r in history.records if r.method.picks.get(cid) == picks[cid])
+        for cid in _editable_chains(substrate, last)
+    }
+    if not shared:
         return None
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    order = strategy_fn(projections, rng)
+    order = strategy_fn(shared, rng)
     tried = history.methods()
 
     for cid in order:
@@ -188,15 +173,14 @@ def run_trial(
     budget: int,
     seed: int,
     *,
-    params: PriorParams = PriorParams(),
-    strategy: Union[str, EditStrategy] = "worst-chain",
+    strategy: str = "worst-chain",
     on_iteration=None,
 ) -> TrialResult:
     """One closed-loop trial: prior compiled once, sampled level by level,
     every attempt committed to both the history and the repository."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    rows = compile_prior(repo, p_new, substrate, params)
+    rows = compile_prior(repo, p_new, substrate)
     history = TrialHistory()
     state = None
     exhausted = False
@@ -382,11 +366,7 @@ def _mutate_tuple(
     rng: np.random.Generator,
 ) -> tuple[MethodTuple, int]:
     """Redraw the picks of ``count`` distinct decision chains of ``base``."""
-    editable = [
-        cid
-        for cid in substrate.decision_chain_ids
-        if base.picks.get(cid) is not None and len(substrate.chains.chains[cid].alphabet) > 1
-    ]
+    editable = _editable_chains(substrate, base)
     count = min(count, len(editable))
     chosen = sorted(rng.choice(len(editable), size=count, replace=False).tolist()) if count else []
     out = base

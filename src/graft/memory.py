@@ -1,7 +1,7 @@
 """Long-term memory of solved instances and reward-calibrated prior compilation.
 
 Each stored entry pairs a problem fingerprint with the method tuple that ran
-on it, the run's observables, and a reward in [0, r_max].  At problem
+on it, the run's observables, and a reward in [0, R_MAX].  At problem
 arrival the nearest entries (Jaccard on the identity-preserving resolution)
 vote on every policy row through a sigmoid-gated reward weight; the votes
 are blended with the uniform prior, and rule operators are applied on top so
@@ -10,6 +10,7 @@ documented constraints cannot be undone by neighbour evidence.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, replace
 
@@ -58,12 +59,13 @@ class MemoryRepository:
         return len(self.entries)
 
 
+KAPPA = 7.0  # slope of the neighbour gate's sigmoid
+MIDPOINT = 0.55  # sigmoid centre s0
+
+
 @dataclass(frozen=True)
 class PriorParams:
     n_neighbors: int = 3
-    kappa: float = 7.0
-    midpoint: float = 0.55  # sigmoid centre s0
-    r_max: float = R_MAX
 
 
 def record(repo: MemoryRepository, entry: MemoryEntry) -> MemoryRepository:
@@ -81,19 +83,14 @@ def rank_neighbors(
     repo: MemoryRepository, p_new: Fingerprint, n: int
 ) -> list[tuple[MemoryEntry, float]]:
     """Top-n non-stale entries by similarity desc, reward desc, insertion order."""
-    scored = []
-    for i, entry in enumerate(repo.entries):
-        if entry.stale:
-            continue
-        scored.append((jaccard(p_new, entry.problem_fp), entry.reward, i, entry))
-    scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
-    return [(entry, sim) for sim, _, _, entry in scored[:n]]
+    scored = ((-jaccard(p_new, e.problem_fp), -e.reward, i, e) for i, e in enumerate(repo.entries) if not e.stale)
+    return [(e, -neg_sim) for neg_sim, _, _, e in heapq.nsmallest(n, scored)]
 
 
-def neighbor_weight(similarity: float, reward: float, params: PriorParams = PriorParams()) -> float:
-    """Sigmoid-gated reward weight: sigma(similarity) * reward / r_max."""
-    gate = 1.0 / (1.0 + math.exp(-params.kappa * (similarity - params.midpoint)))
-    return gate * (reward / params.r_max)
+def neighbor_weight(similarity: float, reward: float) -> float:
+    """Sigmoid-gated reward weight: sigma(similarity) * reward / R_MAX."""
+    gate = 1.0 / (1.0 + math.exp(-KAPPA * (similarity - MIDPOINT)))
+    return gate * (reward / R_MAX)
 
 
 def _chosen_child(tree: FactoredTree, node: str, path: frozenset[str]) -> str | None:
@@ -152,7 +149,7 @@ def compile_prior(
     base = uniform_rows(substrate)
 
     neighbors = rank_neighbors(repo, p_new, params.n_neighbors)
-    weights = [neighbor_weight(sim, e.reward, params) for e, sim in neighbors]
+    weights = [neighbor_weight(sim, e.reward) for e, sim in neighbors]
     w_tot = sum(weights)
     n_eff = sum(1 for w in weights if w > 0.0)
 

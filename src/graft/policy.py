@@ -26,6 +26,7 @@ from .errors import EnumerationCapError, RuleSupportError, SupportExhaustedError
 from .reduction import FactoredTree
 
 MASS_TOLERANCE = 1e-12
+MAX_RETRIES = 64  # rejection draws against an avoid set before enumerating
 
 # Inactive marker for chains closed by structural nesting (JSON: null).
 INACTIVE = None
@@ -150,12 +151,6 @@ def chain_prior(substrate: Substrate, rows: PolicyRows, chain_id: str) -> Probab
     return ProbabilityRow(options=chain.alphabet, mass=tuple(probs[a] for a in chain.alphabet))
 
 
-def fired_rules(substrate: Substrate, chain_id: str, resolved: Mapping[str, Optional[str]]):
-    return [
-        r for r in substrate.rules if r.target_chain == chain_id and r.fired_by(resolved)
-    ]
-
-
 def _check_lower_levels_resolved(substrate: Substrate, chain_id: str, resolved) -> None:
     lvl = substrate.levels[chain_id]
     for cid in substrate.chain_order:
@@ -173,26 +168,19 @@ def edited_chain_distribution(
     """
     _check_lower_levels_resolved(substrate, chain_id, resolved)
     dist = chain_prior(substrate, rows, chain_id)
-    for rule in fired_rules(substrate, chain_id, resolved):
-        dist = _OPERATORS[rule.effect](dist, rule.target_slice, rule_hint=rule.hint)
+    for rule in substrate.rules:
+        if rule.target_chain == chain_id and rule.fired_by(resolved):
+            dist = _OPERATORS[rule.effect](dist, rule.target_slice, rule_hint=rule.hint)
     return dist
-
-
-def chain_active(substrate: Substrate, chain_id: str, resolved: Mapping[str, Optional[str]]) -> bool:
-    gate = substrate.gate.get(chain_id)
-    if gate is None:
-        return True
-    gate_chain, required = gate
-    return resolved.get(gate_chain) == required
 
 
 def chain_kernel(
     substrate: Substrate, rows: PolicyRows, chain_id: str, resolved: Mapping[str, Optional[str]]
 ) -> dict[Optional[str], float]:
     """Kernel over the augmented alphabet: values plus the inactive marker."""
-    domain = substrate.chain_value_domain(chain_id)
-    if not chain_active(substrate, chain_id, resolved):
-        kernel: dict[Optional[str], float] = {v: 0.0 for v in domain}
+    gate = substrate.gate.get(chain_id)
+    if gate is not None and resolved.get(gate[0]) != gate[1]:
+        kernel: dict[Optional[str], float] = {v: 0.0 for v in substrate.chain_value_domain(chain_id)}
         kernel[INACTIVE] = 1.0
         return kernel
     chain = substrate.chains.chains[chain_id]
@@ -205,7 +193,8 @@ def chain_kernel(
     return kernel
 
 
-def _validate_tuple(substrate: Substrate, m: MethodTuple) -> None:
+def validate_tuple(substrate: Substrate, m: MethodTuple) -> None:
+    """Raise ValueError unless ``m`` has one value per chain, each in its domain."""
     picks = m.picks
     expected = set(substrate.chain_order)
     if set(picks) != expected:
@@ -220,7 +209,7 @@ def _validate_tuple(substrate: Substrate, m: MethodTuple) -> None:
 def method_probability(substrate: Substrate, rows: PolicyRows, m: MethodTuple) -> float:
     """Product of chain kernels in level order; 0 for inadmissible tuples."""
     _check_rows_version(substrate, rows)
-    _validate_tuple(substrate, m)
+    validate_tuple(substrate, m)
     picks = m.picks
     prob = 1.0
     for cid in substrate.chain_order:
@@ -263,28 +252,25 @@ def enumerate_support(
 
     order = substrate.chain_order
     out: list[tuple[MethodTuple, float]] = []
+    resolved: dict[str, Optional[str]] = {}  # picks of order[:depth], in order
+    stack: list[tuple[int, Optional[str], float]] = []  # (depth, value, mass with it)
 
-    def recurse(idx: int, resolved: dict[str, Optional[str]], acc: float) -> None:
-        if idx == len(order):
+    def expand(depth: int, acc: float) -> None:
+        if depth == len(order):
             out.append((MethodTuple.from_picks(resolved), acc))
             return
-        cid = order[idx]
-        if not chain_active(substrate, cid, resolved):
-            resolved[cid] = INACTIVE
-            recurse(idx + 1, resolved, acc)
-        else:
-            chain = substrate.chains.chains[cid]
-            if chain.is_decision:
-                dist = edited_chain_distribution(substrate, rows, cid, resolved)
-                for option, mass in zip(dist.options, dist.mass):
-                    resolved[cid] = option
-                    recurse(idx + 1, resolved, acc * mass)
-            else:
-                resolved[cid] = chain.root
-                recurse(idx + 1, resolved, acc)
-        del resolved[cid]
+        kernel = chain_kernel(substrate, rows, order[depth], resolved)
+        inactive = kernel[INACTIVE] > 0.0  # then it is the only value to take
+        branches = [(depth, v, acc * w) for v, w in kernel.items() if (v is INACTIVE) == inactive]
+        stack.extend(reversed(branches))
 
-    recurse(0, {}, 1.0)
+    expand(0, 1.0)
+    while stack:
+        depth, value, acc = stack.pop()
+        while len(resolved) > depth:
+            resolved.popitem()
+        resolved[order[depth]] = value
+        expand(depth + 1, acc)
     return out
 
 
@@ -317,23 +303,20 @@ def sample_method(
     rows: PolicyRows,
     seed: int,
     avoid: frozenset[MethodTuple] | set[MethodTuple] = frozenset(),
-    *,
-    max_retries: int = 64,
-    cap: int = 10**6,
 ) -> MethodTuple:
     """Level-by-level draw (PCG64), rejection-resampling against ``avoid``.
 
-    After ``max_retries`` collisions, falls back to enumerating the positive
+    After ``MAX_RETRIES`` collisions, falls back to enumerating the positive
     support minus the avoid set and drawing from its renormalisation; raises
     SupportExhaustedError when nothing remains.
     """
     _check_rows_version(substrate, rows)
     rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(max_retries if avoid else 1):
+    for _ in range(MAX_RETRIES if avoid else 1):
         m = _sample_once(substrate, rows, rng)
         if m not in avoid:
             return m
-    remaining = [(m, p) for m, p in enumerate_support(substrate, rows, cap=cap) if p > 0.0 and m not in avoid]
+    remaining = [(m, p) for m, p in enumerate_support(substrate, rows) if p > 0.0 and m not in avoid]
     if not remaining:
         raise SupportExhaustedError("avoid set covers the whole positive support")
     return _draw(rng, [m for m, _ in remaining], [p for _, p in remaining])

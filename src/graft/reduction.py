@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import BuildError, GraphValidationError
+from .errors import GraphValidationError
 from .graph import EdgeType, KnowledgeGraph, validate_graph
 
 
@@ -103,17 +103,15 @@ class ChainIndex:
         return tuple(sorted(c.id for c in self.chains.values() if c.is_decision))
 
 
-def reduce_to_tree(g: KnowledgeGraph, *, validate: bool = True) -> FactoredTree:
+def reduce_to_tree(g: KnowledgeGraph) -> FactoredTree:
     """Project the DAG onto its spanning tree.
 
-    Raises GraphValidationError when ``validate`` is set and the graph breaks
-    a structural invariant; this is what ties "validate accepts" to "reduce
-    succeeds".
+    Raises GraphValidationError when the graph breaks a structural
+    invariant; this is what ties "validate accepts" to "reduce succeeds".
     """
-    if validate:
-        report = validate_graph(g)
-        if not report.ok:
-            raise GraphValidationError(report)
+    report = validate_graph(g)
+    if not report.ok:
+        raise GraphValidationError(report)
 
     children_all: dict[str, list[tuple[str, EdgeType]]] = {n: [] for n in g.nodes}
     for p, c, t in g.edges:
@@ -140,9 +138,7 @@ def reduce_to_tree(g: KnowledgeGraph, *, validate: bool = True) -> FactoredTree:
     for n in g.nodes:
         if n == g.root:
             continue
-        candidates = incoming[n]
-        if not candidates:
-            raise BuildError("reduce", f"unreachable node {n}")
+        candidates = incoming[n]  # non-empty: validation proved n reachable
         if n in g.canonical_parent:
             keep = g.canonical_parent[n]
             kept_type = next(t for p, t in candidates if p == keep)

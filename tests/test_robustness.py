@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from graft import build_substrate, graph_from_document, layout, sample_method, uniform_rows
+from graft import MethodTuple, build_substrate, enumerate_support, graph_from_document, layout, sample_method, uniform_rows
 from graft import io
 from graft.fixtures import morning_graph_document
 from graft.graph import graph_to_document
@@ -46,6 +46,20 @@ def nesting_chain_document(depth: int) -> dict:
     return {"root": "root", "nodes": nodes, "edges": edges}
 
 
+def one_option_chain_document(depth: int) -> dict:
+    """``depth`` chains of one option each, each nested under the option above."""
+    nodes, edges = ["root"], []
+    here = "root"
+    for i in range(depth):
+        nodes += [f"c{i}", f"c{i}_a"]
+        edges += [
+            {"parent": here, "child": f"c{i}", "type": "c"},
+            {"parent": f"c{i}", "child": f"c{i}_a", "type": "s"},
+        ]
+        here = f"c{i}_a"
+    return {"root": "root", "nodes": nodes, "edges": edges}
+
+
 def run_cli(*argv, cwd):
     """``graft --quiet`` with relative paths resolved against ``cwd``."""
     env = dict(os.environ, GRAFT_WORKSPACE=str(cwd))
@@ -76,6 +90,23 @@ def test_deep_graphs_build_lay_out_sample_and_print(make_document, tmp_path):
     assert f"- {'s' if make_document is s_chain_document else 'c'}{DEPTH - 1}" in out.stdout
 
 
+def test_enumeration_walks_deep_one_option_chains(tmp_path):
+    # a support of one tuple passes the enumeration cap at any depth, so the
+    # sampler's fallback enumerates all of it once the tuple is avoided
+    s = build_substrate(graph_from_document(one_option_chain_document(DEPTH)))
+    rows = uniform_rows(s)
+    [(m, p)] = enumerate_support(s, rows)
+    assert p == 1.0
+    assert m == sample_method(s, rows, seed=0)
+
+    io.save_substrate(s, tmp_path / "sub.json")
+    io.save_rows(rows, tmp_path / "rows.json")
+    (tmp_path / "avoid.json").write_text(json.dumps([m.picks]))
+    out = run_cli("sample", "sub.json", "--rows", "rows.json", "--seed", "0", "--avoid", "avoid.json", cwd=tmp_path)
+    assert_one_error_line(out)
+    assert "avoid set covers the whole positive support" in out.stderr
+
+
 def _substrate_without(field):
     def write(tmp_path):
         run_cli("build", "morning.json", "--out", "sub.json", cwd=tmp_path)
@@ -97,6 +128,23 @@ def _file_holding(text, argv, needle):
     return write
 
 
+def _workdir_holding(text, argv, needle):
+    """``_file_holding`` next to an environment spec ``env.json``, its action
+    substrate ``asub.json`` (the morning graph) and a method ``m.json`` on it."""
+
+    def write(tmp_path):
+        _loop_workdir(tmp_path, morning_graph_document())
+        s = build_substrate(graph_from_document(morning_graph_document()))
+        io.save_method(sample_method(s, uniform_rows(s), seed=0), tmp_path / "m.json")
+        return _file_holding(text, argv, needle)(tmp_path)
+
+    return write
+
+
+LOOP = ["loop", "asub.json", "memory.jsonl", "--budget", "1", "--seed", "0", "--out", "report.jsonl"]
+RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.fp", "--method", "m.json"]
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -107,8 +155,38 @@ def _file_holding(text, argv, needle):
         _file_holding("[[]]\n", ["neighbors", "bad.json", "--problem", "p.fp"], "bad.json:1: expected a JSON object"),
         _substrate_without("graph"),
         _substrate_without("content_hash"),
+        _file_holding(
+            '{"format": "graft-fingerprint/1"}', ["similarity", "bad.json", "p.fp"], "bad.json: missing field 'cells'"
+        ),
+        _file_holding(
+            "{}\n", ["neighbors", "bad.json", "--problem", "p.fp"], "bad.json:1: missing field 'problem_tree_version'"
+        ),
+        _workdir_holding(
+            '{"format": "graft-rows/1"}',
+            ["sample", "asub.json", "--rows", "bad.json", "--seed", "0"],
+            "bad.json: missing field 'rows'",
+        ),
+        _workdir_holding("[]", [*LOOP, "--env-spec", "bad.json"], "bad.json: expected a JSON object"),
+        _workdir_holding(
+            '{"problem_count": 3, "mutation_rate": 0.4, "noise_level": 1.0, "colour": "red"}',
+            [*LOOP, "--env-spec", "bad.json"],
+            "bad.json: unknown field 'colour'",
+        ),
+        _workdir_holding(
+            '{"problem_count": 3}', [*LOOP, "--env-spec", "bad.json"], "bad.json: missing field 'mutation_rate'"
+        ),
+        _workdir_holding(
+            "", [*LOOP, "--env-spec", "env.json", "--problems", "7"], "--problems 7 is not a problem index"
+        ),
+        _workdir_holding(
+            "[1]", [*RECORD, "--observables", "bad.json", "--reward", "1"], "bad.json: expected a JSON object"
+        ),
     ],
-    ids=["array", "string", "number", "empty-array", "memory-line-array", "no-graph", "no-content-hash"],
+    ids=[
+        "array", "string", "number", "empty-array", "memory-line-array", "no-graph", "no-content-hash",
+        "fingerprint-no-cells", "memory-line-no-field", "rows-no-rows", "env-spec-array", "env-spec-unknown-key",
+        "env-spec-no-mutation-rate", "problem-out-of-range", "observables-array",
+    ],
 )
 def test_malformed_files_end_in_one_error_line(case, tmp_path):
     (tmp_path / "morning.json").write_text(json.dumps(morning_graph_document()))
@@ -124,6 +202,22 @@ def _loop_workdir(tmp_path, action_doc):
     spec = {"problem_count": 3, "mutation_rate": 0.4, "noise_level": 1.0, "problem_graph": "pg.json", "action_graph": "ag.json"}
     (tmp_path / "env.json").write_text(json.dumps(spec))
     assert run_cli("build", "ag.json", "--out", "asub.json", cwd=tmp_path).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda picks: {"breakfast": picks["breakfast"]}, lambda picks: {**picks, "breakfast": "transport_bike"}],
+    ids=["one-chain-only", "value-of-another-chain"],
+)
+def test_record_refuses_a_method_outside_the_substrate(edit, tmp_path):
+    _workdir_holding("{}", [], "")(tmp_path)  # asub.json, m.json and p.fp
+    assert run_cli(*RECORD, "--reward", "1", cwd=tmp_path).returncode == 0
+    before = (tmp_path / "memory.jsonl").read_bytes()
+    picks = io.load_method(tmp_path / "m.json").picks
+    io.save_method(MethodTuple.from_picks(edit(picks)), tmp_path / "m.json")
+    out = run_cli(*RECORD, "--reward", "1", cwd=tmp_path)
+    assert_one_error_line(out)
+    assert (tmp_path / "memory.jsonl").read_bytes() == before
 
 
 def test_loop_keeps_every_attempt_it_reported_when_a_trial_fails(tmp_path):
