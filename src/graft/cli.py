@@ -159,11 +159,25 @@ def cmd_prob(args) -> int:
     return 0
 
 
+def _check_gates(s, m: MethodTuple) -> None:
+    """Refuse a tuple no draw can produce: a null on a chain whose gate is
+    met (top chains have none), or a value on a chain whose gate is not."""
+    picks = m.picks
+    for cid in s.chain_order:
+        gate = s.gate.get(cid)
+        active = gate is None or picks[gate[0]] == gate[1]
+        if active and picks[cid] is None:
+            raise GraftError(f"chain {cid} is active in this method but carries null")
+        if not active and picks[cid] is not None:
+            raise GraftError(f"chain {cid} carries {picks[cid]!r} although its gate {gate[0]} = {gate[1]!r} is not met")
+
+
 def cmd_record(args) -> int:
     s = _load_substrate_for(args)
     p_fp = io.load_fingerprint(_resolve(args.problem))
     m = io.load_method(_resolve(args.method))
     validate_tuple(s, m)
+    _check_gates(s, m)
     observables = io.load_object(_resolve(args.observables)) if args.observables else {}
     repo = io.load_memory(
         _resolve(args.memory),
@@ -207,6 +221,10 @@ def cmd_loop(args) -> int:
         if isinstance(spec_payload.get(key), str):
             spec_payload[key] = io.load_object(_resolve(spec_payload[key]))
     spec = SyntheticEnvSpec(**spec_payload)
+    try:
+        spec.validate()
+    except GraftError as exc:
+        raise GraftError(f"{spec_path}: {exc}") from None
     env = make_synthetic_env(spec, args.seed)
     if env.action_substrate.version != s.version:
         raise GraftError(

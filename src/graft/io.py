@@ -10,7 +10,9 @@ shortest-repr encoding json uses for binary64.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
+from typing import Callable, Mapping
 
 from .build import Substrate, build_substrate, substrate_content_hash
 from .embedding import Embedding, Fingerprint
@@ -29,6 +31,53 @@ MEMORY_FIELDS = (  # every field of a memory record but the optional "stale"
     "problem_tree_version", "action_tree_version", "problem_fp", "method", "method_path_nodes", "observables", "reward"
 )
 
+# A kind is a test on a JSON value and the words an error uses for it.
+Kind = tuple[Callable[[object], bool], str]
+
+
+def _is(*types: type) -> Callable[[object], bool]:
+    # exact types, so that a JSON true is not taken for the number 1
+    return lambda v: type(v) in types
+
+
+def _list_of(*types: type) -> Callable[[object], bool]:
+    return lambda v: type(v) is list and set(map(type, v)) <= set(types)
+
+
+def _is_cells(v) -> bool:
+    return (
+        type(v) is list
+        and set(map(type, v)) <= {list}
+        and set(map(len, v)) <= {3}
+        and set(map(type, chain.from_iterable(v))) <= {int}
+    )
+
+
+STRING: Kind = (_is(str), "a string")
+INTEGER: Kind = (_is(int), "an integer")
+NUMBER: Kind = (_is(int, float), "a number")
+OBJECT: Kind = (_is(dict), "an object")
+STRINGS: Kind = (_list_of(str), "a list of strings")
+PICKS: Kind = (
+    lambda v: type(v) is dict and set(map(type, v.values())) <= {str, type(None)},
+    "an object of strings or nulls",
+)
+FINGERPRINT_KINDS: dict[str, Kind] = {
+    "cells": (_is_cells, "a list of [x, y, depth] integer triples"),
+    "resolution": INTEGER,
+    "tree_tag": STRING,
+    "keep": STRING,
+}
+MEMORY_KINDS: dict[str, Kind] = {
+    "reward": NUMBER,
+    "method": PICKS,
+    "method_path_nodes": STRINGS,
+    "observables": OBJECT,
+    "stale": (_is(bool), "true or false"),
+}
+ROWS_FILE_KINDS: dict[str, Kind] = {"rows": OBJECT, "tree_version": STRING}
+ROW_KINDS: dict[str, Kind] = {"options": STRINGS, "mass": (_list_of(int, float), "a list of numbers")}
+
 
 def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -41,9 +90,16 @@ def _parse_json(where: str | Path, text: str):
         raise GraftError(f"{where}: malformed JSON ({exc})") from exc
 
 
-def _object(where: str | Path, payload, marker: str | None = None, fields: tuple[str, ...] = ()) -> dict:
+def _object(
+    where: str | Path,
+    payload,
+    marker: str | None = None,
+    fields: tuple[str, ...] = (),
+    kinds: Mapping[str, Kind] = {},
+) -> dict:
     """``payload`` checked to be a JSON object carrying ``marker`` as its
-    format when given and every one of ``fields``; errors name ``where``."""
+    format when given, every one of ``fields``, and a value of its kind for
+    each key of ``kinds`` it holds; errors name ``where``."""
     if not isinstance(payload, dict):
         raise GraftError(f"{where}: expected a JSON object, found {type(payload).__name__}")
     if marker is not None and payload.get("format") != marker:
@@ -51,6 +107,9 @@ def _object(where: str | Path, payload, marker: str | None = None, fields: tuple
     for key in fields:
         if key not in payload:
             raise GraftError(f"{where}: missing field {key!r}")
+    for key, (ok, what) in kinds.items():
+        if key in payload and not ok(payload[key]):
+            raise GraftError(f"{where}: field {key!r} must be {what}")
     return payload
 
 
@@ -107,11 +166,11 @@ def save_rows(rows: PolicyRows, path: str | Path) -> None:
 
 
 def load_rows(path: str | Path) -> PolicyRows:
-    payload = load_object(path, ROWS_FORMAT, ("rows", "tree_version"))
-    rows = {
-        node: ProbabilityRow(options=tuple(r["options"]), mass=tuple(r["mass"]))
-        for node, r in payload["rows"].items()
-    }
+    payload = _object(path, load_object(path, ROWS_FORMAT, ("rows", "tree_version")), kinds=ROWS_FILE_KINDS)
+    rows = {}
+    for node, r in payload["rows"].items():
+        _object(f"{path}: row {node!r}", r, fields=("options", "mass"), kinds=ROW_KINDS)
+        rows[node] = ProbabilityRow(options=tuple(r["options"]), mass=tuple(r["mass"]))
     return PolicyRows(rows=rows, tree_version=payload["tree_version"])
 
 
@@ -132,17 +191,18 @@ def save_fingerprint(fp: Fingerprint, path: str | Path) -> None:
     Path(path).write_text(_dump(fingerprint_payload(fp)))
 
 
+def _fingerprint_fields(payload: dict) -> tuple:
+    """A fingerprint payload's (cells, resolution, tree_tag, keep)."""
+    return frozenset(map(tuple, payload["cells"])), payload["resolution"], payload["tree_tag"], payload["keep"]
+
+
 def fingerprint_from_payload(payload: dict) -> Fingerprint:
-    return Fingerprint(
-        cells=frozenset(tuple(c) for c in payload["cells"]),
-        resolution=payload["resolution"],
-        tree_tag=payload["tree_tag"],
-        keep=payload["keep"],
-    )
+    return Fingerprint(*_fingerprint_fields(payload))
 
 
 def load_fingerprint(path: str | Path) -> Fingerprint:
-    return fingerprint_from_payload(load_object(path, FINGERPRINT_FORMAT, FINGERPRINT_FIELDS))
+    payload = load_object(path, FINGERPRINT_FORMAT, FINGERPRINT_FIELDS)
+    return fingerprint_from_payload(_object(path, payload, kinds=FINGERPRINT_KINDS))
 
 
 # -- method tuples -----------------------------------------------------------
@@ -157,7 +217,8 @@ def save_method(m: MethodTuple, path: str | Path) -> None:
 
 
 def load_method(path: str | Path) -> MethodTuple:
-    return MethodTuple.from_picks(load_object(path, METHOD_FORMAT, ("picks",))["picks"])
+    payload = _object(path, load_object(path, METHOD_FORMAT, ("picks",)), kinds={"picks": PICKS})
+    return MethodTuple.from_picks(payload["picks"])
 
 
 def load_method_list(path: str | Path) -> list[MethodTuple]:
@@ -168,7 +229,7 @@ def load_method_list(path: str | Path) -> list[MethodTuple]:
     out = []
     for item in payload:
         picks = item.get("picks", item) if isinstance(item, dict) else None
-        if picks is None:
+        if not PICKS[0](picks):
             raise GraftError(f"{path}: bad method record {item!r}")
         out.append(MethodTuple.from_picks(picks))
     return out
@@ -192,11 +253,21 @@ def _entry_payload(entry: MemoryEntry, repo: MemoryRepository) -> dict:
     }
 
 
-def _entry_from_payload(payload: dict) -> MemoryEntry:
+def _entry_from_payload(payload: dict, fingerprints: dict[tuple, Fingerprint], names: dict) -> MemoryEntry:
+    """One memory entry.  Equal problem fingerprints resolve to the first
+    one met in ``fingerprints``, and node names to the first equal string
+    in ``names``, so the entries of one load share them."""
+    share = names.setdefault
+    key = _fingerprint_fields(payload["problem_fp"])
+    problem_fp = fingerprints.get(key)
+    if problem_fp is None:
+        problem_fp = fingerprints[key] = Fingerprint(*key)
+    picks, nodes = payload["method"], payload["method_path_nodes"]
+    chains, values = map(share, picks, picks), map(share, picks.values(), picks.values())
     return MemoryEntry(
-        problem_fp=fingerprint_from_payload(payload["problem_fp"]),
-        method=MethodTuple.from_picks(payload["method"]),
-        method_path_nodes=frozenset(payload["method_path_nodes"]),
+        problem_fp=problem_fp,
+        method=MethodTuple(items=tuple(sorted(zip(chains, values)))),  # as MethodTuple.from_picks orders them
+        method_path_nodes=frozenset(map(share, nodes, nodes)),
         observables=dict(payload["observables"]),
         reward=payload["reward"],
         stale=payload.get("stale", False),
@@ -230,19 +301,21 @@ def load_memory(
     p = Path(path)
     entries = []
     versions: tuple[str, str] | None = None
+    fingerprints: dict[tuple, Fingerprint] = {}  # (cells, resolution, tree_tag, keep) -> one object
+    names: dict[str, str] = {}
     if p.exists():
         for i, line in enumerate(p.read_text().splitlines()):
             if not line.strip():
                 continue
             where = f"{path}:{i + 1}"
-            payload = _object(where, _parse_json(where, line), fields=MEMORY_FIELDS)
-            _object(f"{where}: problem_fp", payload["problem_fp"], fields=FINGERPRINT_FIELDS)
+            payload = _object(where, _parse_json(where, line), fields=MEMORY_FIELDS, kinds=MEMORY_KINDS)
+            _object(f"{where}: problem_fp", payload["problem_fp"], fields=FINGERPRINT_FIELDS, kinds=FINGERPRINT_KINDS)
             record_versions = (payload["problem_tree_version"], payload["action_tree_version"])
             if versions is None:
                 versions = record_versions
             elif versions != record_versions:
                 raise VersionMismatchError(f"{path}:{i + 1}: mixed tree versions in one memory file")
-            entries.append(_entry_from_payload(payload))
+            entries.append(_entry_from_payload(payload, fingerprints, names))
     if versions is None:
         if problem_tree_version is None or action_tree_version is None:
             raise GraftError(f"{path}: empty memory needs explicit tree versions")

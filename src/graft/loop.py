@@ -17,8 +17,9 @@ which is what makes warm-started priors measurably better than uniform ones.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Optional, Protocol, get_args, get_type_hints
 
 import numpy as np
 
@@ -257,6 +258,13 @@ class SyntheticEnvSpec:
     action_graph: Optional[dict] = None
 
     def validate(self) -> None:
+        for name, hint in get_type_hints(SyntheticEnvSpec).items():
+            value = getattr(self, name)
+            if value is None and type(None) in get_args(hint):
+                continue
+            kind, what = _SPEC_KINDS[get_args(hint)[0] if get_args(hint) else hint]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise GraftError(f"{name} must be {what}, found {type(value).__name__}")
         if self.problem_count < 1:
             raise GraftError("problem_count must be positive")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -267,6 +275,10 @@ class SyntheticEnvSpec:
             raise GraftError("holdout_count must leave at least one training problem")
         if (self.problem_graph is None) != (self.action_graph is None):
             raise GraftError("give both graph documents or neither")
+
+
+# the values each annotation of SyntheticEnvSpec admits; bool is refused apart
+_SPEC_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"), dict: (dict, "an object")}
 
 
 def _flat_graph(prefix: str, chains: int, options: int) -> KnowledgeGraph:

@@ -10,9 +10,11 @@ documented constraints cannot be undone by neighbour evidence.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
+
+import numpy as np
 
 from .build import Substrate, build_substrate
 from .embedding import Fingerprint, jaccard
@@ -47,13 +49,128 @@ class MemoryEntry:
             raise ValueError(f"reward {self.reward} outside [0, {R_MAX}]")
 
 
+class _NeighborIndex:
+    """Columns over a repository's entries for exact Jaccard ranking.
+
+    Every distinct cell ``(x, y, depth)`` is interned to a bit position, at
+    any resolution, and each entry keeps its cells as a row of uint64 words
+    beside its cell count, its reward and a small id for its fingerprint's
+    ``(tree_tag, resolution)``.  Rows are only ever added; ``stale`` is read
+    from the entries on every ranking.
+    """
+
+    def __init__(self) -> None:
+        self.entries: list[MemoryEntry] | None = None  # the list indexed
+        self.n = 0
+        self.last: MemoryEntry | None = None  # entries[n - 1] when it was indexed
+        self.bits: dict[tuple[int, int, int], int] = {}
+        self.groups: dict[tuple[str, int], int] = {}
+        self.words = np.zeros((0, 1), dtype=np.uint64)
+        self.count = np.zeros(0, dtype=np.int64)
+        self.reward = np.zeros(0, dtype=np.float64)
+        self.group = np.zeros(0, dtype=np.int64)
+
+    def covers_prefix_of(self, entries: list[MemoryEntry]) -> bool:
+        """Whether ``entries`` is the list indexed, grown only at its end."""
+        n = self.n
+        return n == 0 or (entries is self.entries and len(entries) >= n and entries[n - 1] is self.last)
+
+    def _mask(self, cells) -> int:
+        mask = 0
+        for cell in cells:
+            bit = self.bits.get(cell)
+            if bit is None:
+                bit = self.bits[cell] = len(self.bits)
+            mask |= 1 << bit
+        return mask
+
+    def _words(self, masks: list[int]) -> np.ndarray:
+        width = self.words.shape[1]
+        return np.frombuffer(b"".join(m.to_bytes(8 * width, "little") for m in masks), dtype="<u8").reshape(-1, width)
+
+    def _reserve(self, rows: int, width: int) -> None:
+        """Room for ``rows`` rows of ``width`` words; row capacity doubles."""
+        cap, have = self.words.shape
+        if rows > cap:
+            cap = max(cap, 1)
+            while cap < rows:
+                cap *= 2
+            for name in ("count", "reward", "group"):
+                column = np.zeros(cap, dtype=getattr(self, name).dtype)
+                column[: self.n] = getattr(self, name)[: self.n]
+                setattr(self, name, column)
+        if self.words.shape != (cap, max(width, have)):
+            words = np.zeros((cap, max(width, have)), dtype=np.uint64)
+            words[: self.n, :have] = self.words[: self.n]
+            self.words = words
+
+    def extend(self, entries: list[MemoryEntry]) -> None:
+        """Index ``entries[n:]``, encoding each distinct Fingerprint once."""
+        self.entries, start = entries, self.n
+        new = entries[start:]
+        if not new:
+            return
+        codes: dict[int, int] = {}  # id of a Fingerprint -> its place in ``distinct``
+        distinct: list[tuple[int, int, int]] = []  # (cell mask, cell count, group id)
+        rows = []
+        for entry in new:
+            fp = entry.problem_fp
+            code = codes.get(id(fp))
+            if code is None:
+                code = codes[id(fp)] = len(distinct)
+                group = self.groups.setdefault((fp.tree_tag, fp.resolution), len(self.groups))
+                distinct.append((self._mask(fp.cells), len(fp.cells), group))
+            rows.append(code)
+        masks, counts, groups = zip(*distinct)
+        end = start + len(new)
+        self._reserve(end, -(-len(self.bits) // 64))
+        rows = np.array(rows)
+        self.words[start:end] = self._words(masks)[rows]
+        self.count[start:end] = np.array(counts)[rows]
+        self.group[start:end] = np.array(groups)[rows]
+        self.reward[start:end] = [e.reward for e in new]
+        self.n, self.last = end, entries[end - 1]
+
+    def rank(self, p_new: Fingerprint, n: int) -> list[tuple[MemoryEntry, float]]:
+        entries, size = self.entries, self.n
+        live = ~np.fromiter(map(attrgetter("stale"), entries), dtype=bool, count=size)
+        if p_new.cells:
+            group = self.groups.get((p_new.tree_tag, p_new.resolution), -1)
+            bad = live & ((self.group[:size] != group) | (self.count[:size] == 0))
+        else:
+            bad = live
+        if bad.any():
+            # the error, and its message, of comparing entry by entry
+            jaccard(p_new, entries[int(np.argmax(bad))].problem_fp)
+        idx = np.flatnonzero(live)
+        query = self._words([self._mask(c for c in p_new.cells if c in self.bits)])[0]
+        inter = np.bitwise_count(self.words[idx] & query).sum(axis=1, dtype=np.int64)
+        # counts are small integers, so this float64 division rounds as jaccard's does
+        sim = inter / (self.count[idx] + len(p_new.cells) - inter)
+        if n < len(idx):
+            kth = len(idx) - n
+            keep = sim >= np.partition(sim, kth)[kth]  # the n best and their ties
+            idx, sim = idx[keep], sim[keep]
+        order = np.lexsort((idx, -self.reward[idx], -sim))[:n]
+        return [(entries[i], s) for i, s in zip(idx[order].tolist(), sim[order].tolist())]
+
+
 @dataclass
 class MemoryRepository:
-    """Append-only store; entries are never deleted, only flagged stale."""
+    """Append-only store; entries are never deleted, only flagged stale.
+
+    Neighbour ranking keeps columns over ``entries`` and extends them with
+    the entries appended since its last call.  So entries may only be
+    appended, through ``record`` or ``entries.append``; once an entry has
+    been ranked, its ``stale`` flag is the only field that may change.
+    Replacing the list, or shrinking it, makes the next ranking rebuild
+    the columns from scratch.
+    """
 
     problem_tree_version: str
     action_tree_version: str
     entries: list[MemoryEntry] = field(default_factory=list)
+    _index: _NeighborIndex = field(default_factory=_NeighborIndex, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -82,9 +199,17 @@ def record(repo: MemoryRepository, entry: MemoryEntry) -> MemoryRepository:
 def rank_neighbors(
     repo: MemoryRepository, p_new: Fingerprint, n: int
 ) -> list[tuple[MemoryEntry, float]]:
-    """Top-n non-stale entries by similarity desc, reward desc, insertion order."""
-    scored = ((-jaccard(p_new, e.problem_fp), -e.reward, i, e) for i, e in enumerate(repo.entries) if not e.stale)
-    return [(e, -neg_sim) for neg_sim, _, _, e in heapq.nsmallest(n, scored)]
+    """Top-n non-stale entries by similarity desc, reward desc, insertion order.
+
+    Similarities equal ``jaccard``'s bit for bit, and a non-stale entry
+    that ``jaccard`` cannot compare with ``p_new`` raises its error.
+    """
+    if n <= 0:
+        return []
+    if not repo._index.covers_prefix_of(repo.entries):
+        repo._index = _NeighborIndex()
+    repo._index.extend(repo.entries)
+    return repo._index.rank(p_new, n)
 
 
 def neighbor_weight(similarity: float, reward: float) -> float:

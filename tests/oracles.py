@@ -8,12 +8,24 @@ against a genuinely separate derivation.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
 
-from graft import KnowledgeGraph, MethodTuple, Substrate, build_substrate, graph_from_document
+from graft import KnowledgeGraph, MethodTuple, Substrate, build_substrate, graph_from_document, jaccard
+from graft.memory import MemoryEntry, MemoryRepository
 from graft.policy import PolicyRows
+
+
+# -- neighbour ranking, entry by entry ------------------------------------------
+
+
+def rank_neighbors_by_jaccard(repo: MemoryRepository, p_new, n: int) -> list[tuple[MemoryEntry, float]]:
+    """Top-n non-stale entries by similarity desc, reward desc, insertion
+    order, calling ``jaccard`` once per entry."""
+    scored = ((-jaccard(p_new, e.problem_fp), -e.reward, i, e) for i, e in enumerate(repo.entries) if not e.stale)
+    return [(e, -neg_sim) for neg_sim, _, _, e in heapq.nsmallest(n, scored)]
 
 
 # -- independent longest-path levels ------------------------------------------

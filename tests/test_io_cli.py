@@ -108,6 +108,24 @@ class TestRoundTrips:
         assert loaded.entries[0].observables == {"wall_time": 1.5}
         assert loaded.problem_tree_version == e.tree_version
 
+    def test_memory_load_shares_equal_fingerprints(self, tmp_path):
+        s = build_substrate(morning_graph())
+        e = layout(s.tree)
+        k = min_injective_k(e)
+        repo = MemoryRepository(e.tree_version, s.tree_version)
+        m = MethodTuple.from_picks(
+            {"breakfast": "breakfast_no", "clothes": "clothes", "style": "style_formal", "helmet": "helmet_no",
+             "transport": "transport_car"}
+        )  # fmt: skip
+        for leaf in ("helmet_yes", "helmet_yes", "style_casual", "helmet_yes"):
+            fp = fingerprint(e, s.tree.path_from_root(leaf), k)  # a new object every time
+            record(repo, MemoryEntry(fp, m, method_path_nodes(s, m), {}, 1.0))
+        path = tmp_path / "memory.jsonl"
+        io.save_memory(repo, path)
+        loaded = [entry.problem_fp for entry in io.load_memory(path).entries]
+        assert loaded[0] is loaded[1] is loaded[3]
+        assert loaded[2] is not loaded[0] and loaded[2] != loaded[0]
+
     def test_memory_version_mixing_refused(self, tmp_path):
         path = tmp_path / "memory.jsonl"
         lines = []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graft import (
     EdgeType,
@@ -32,6 +34,8 @@ from graft import (
 )
 from graft.graph import graph_from_document
 from graft.fixtures import morning_graph
+
+from oracles import rank_neighbors_by_jaccard
 
 
 def toy_action_substrate():
@@ -150,6 +154,103 @@ class TestRankNeighbors:
         record(repo, entry_for(action_substrate, {"ch_a": "a1", "ch_b": "b1"}, fp, 10.0))
         repo.entries[0].stale = True
         assert rank_neighbors(repo, fp, 3) == []
+
+
+# -- the columnar index against jaccard, entry by entry --------------------------
+
+UNIVERSES = (3, 100)  # few cells give ties in similarity; 100 is more than one 64-bit word
+REWARDS = (0.0, 10.0, 55.5, 100.0)  # few values give ties in reward
+UNSEEN = (999, 0, 1)  # a cell no stored fingerprint holds
+TOY = toy_action_substrate()
+
+
+def ranking_outcome(rank, repo, query, n):
+    """Identity of each neighbour and the exact bits of its similarity, or
+    the error's type and message."""
+    try:
+        return [(id(e), type(s), s.hex()) for e, s in rank(repo, query, n)]
+    except GraftError as exc:
+        return type(exc), str(exc)
+
+
+def assert_ranks_as_jaccard(repo, query):
+    for n in (-1, 0, 1, 3, len(repo) + 2):
+        assert ranking_outcome(rank_neighbors, repo, query, n) == ranking_outcome(
+            rank_neighbors_by_jaccard, repo, query, n
+        )
+
+
+@st.composite
+def cell_sets(draw, universe):
+    return frozenset((i % 10, i // 10, 1) for i in draw(st.sets(st.integers(0, universe - 1), min_size=1)))
+
+
+def append_entries(repo, specs, via_record):
+    """Each spec is (cells, reward, stale, share): ``share`` reuses the last
+    entry's Fingerprint object, as the entries of one trial do."""
+    for cells, reward, stale, share in specs:
+        fp = repo.entries[-1].problem_fp if share and repo.entries else make_fp(cells)
+        entry = entry_for(TOY, {"ch_a": "a1", "ch_b": "b1"}, fp, reward)
+        entry.stale = stale
+        if via_record:
+            record(repo, entry)
+        else:
+            repo.entries.append(entry)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_index_ranks_as_jaccard_entry_by_entry(data):
+    universe = data.draw(st.sampled_from(UNIVERSES))
+    cells = cell_sets(universe)
+    specs = st.lists(st.tuples(cells, st.sampled_from(REWARDS), st.booleans(), st.booleans()), max_size=10)
+    repo = MemoryRepository(problem_tree_version="ptree", action_tree_version="atree")
+    if data.draw(st.booleans()):  # one fingerprint holding every cell of the universe
+        every_cell = frozenset((i % 10, i // 10, 1) for i in range(universe))
+        append_entries(repo, [(every_cell, 50.0, False, False)], via_record=True)
+    append_entries(repo, data.draw(specs), via_record=True)
+    query = make_fp(data.draw(cells) | ({UNSEEN} if data.draw(st.booleans()) else set()))
+    assert_ranks_as_jaccard(repo, query)
+
+    if repo.entries:
+        for i in data.draw(st.sets(st.integers(0, len(repo) - 1))):
+            repo.entries[i].stale = not repo.entries[i].stale
+    append_entries(repo, data.draw(specs), via_record=True)
+    append_entries(repo, data.draw(specs), via_record=False)
+    assert_ranks_as_jaccard(repo, query)
+
+    change = data.draw(st.sampled_from(["none", "replace", "shrink", "swap-last"]))
+    if change == "replace":
+        repo.entries = list(repo.entries)
+    elif change == "shrink":
+        del repo.entries[len(repo) // 2 :]
+    elif change == "swap-last" and repo.entries:
+        repo.entries.pop()
+        append_entries(repo, data.draw(specs)[:1], via_record=False)
+    append_entries(repo, data.draw(specs), via_record=False)
+    assert_ranks_as_jaccard(repo, make_fp(data.draw(cells)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_index_raises_as_jaccard_does(data):
+    cells = cell_sets(UNIVERSES[0])
+    repo = MemoryRepository(problem_tree_version="ptree", action_tree_version="atree")
+    good = st.lists(st.tuples(cells, st.sampled_from(REWARDS), st.booleans(), st.just(False)), max_size=4)
+    append_entries(repo, data.draw(good), via_record=True)
+    assert_ranks_as_jaccard(repo, make_fp(data.draw(cells)))
+    kind = data.draw(st.sampled_from(["tag", "resolution", "empty"]))
+    mismatch = {"tag": dict(tag="other"), "resolution": dict(k=32), "empty": {}}[kind]
+    bad = make_fp(set() if kind == "empty" else data.draw(cells), **mismatch)
+    entry = entry_for(TOY, {"ch_a": "a2", "ch_b": "b3"}, bad, 10.0)
+    entry.stale = data.draw(st.booleans())
+    # at the end the index extends over it; anywhere else it is rebuilt
+    repo.entries.insert(data.draw(st.integers(0, len(repo))), entry)
+    append_entries(repo, data.draw(good), via_record=False)
+    query = make_fp(set()) if data.draw(st.booleans()) else make_fp(data.draw(cells))
+    assert_ranks_as_jaccard(repo, query)
+    entry.stale = not entry.stale
+    assert_ranks_as_jaccard(repo, query)
 
 
 class TestNeighborWeight:

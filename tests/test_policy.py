@@ -194,6 +194,14 @@ class TestMethodProbability:
         )
         assert method_probability(morning_substrate, morning_rows, m) == 0.0
 
+    def test_gate_inconsistent_tuple_has_zero_mass(self, morning_substrate, morning_rows):
+        # helmet and style are gated on clothes, which carries null here
+        m = MethodTuple.from_picks(
+            {"breakfast": "breakfast_yes", "clothes": None, "style": "style_casual", "helmet": "helmet_yes",
+             "transport": "transport_car"}
+        )  # fmt: skip
+        assert method_probability(morning_substrate, morning_rows, m) == 0.0
+
     def test_single_chain_uniform_thirds(self):
         doc = {
             "root": "r",

@@ -141,6 +141,22 @@ def _workdir_holding(text, argv, needle):
     return write
 
 
+def _memory_line(**fields):
+    """One memory record matching ``p.fp``, with ``fields`` replaced."""
+    record = {
+        "problem_tree_version": "t", "action_tree_version": "a",
+        "problem_fp": {"tree_tag": "t", "resolution": 4, "keep": "s", "cells": [[0, 0, 1]]},
+        "method": {"x": "y"}, "method_path_nodes": ["x", "y"], "observables": {}, "reward": 1.0,
+    }  # fmt: skip
+    for key, value in fields.items():
+        if key in record["problem_fp"]:
+            record["problem_fp"][key] = value
+        else:
+            record[key] = value
+    return json.dumps(record) + "\n"
+
+
+NEIGHBORS = ["neighbors", "bad.json", "--problem", "p.fp"]
 LOOP = ["loop", "asub.json", "memory.jsonl", "--budget", "1", "--seed", "0", "--out", "report.jsonl"]
 RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.fp", "--method", "m.json"]
 
@@ -181,11 +197,36 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
         _workdir_holding(
             "[1]", [*RECORD, "--observables", "bad.json", "--reward", "1"], "bad.json: expected a JSON object"
         ),
+        _file_holding(_memory_line(reward="5"), NEIGHBORS, "bad.json:1: field 'reward' must be a number"),
+        _file_holding(_memory_line(reward=True), NEIGHBORS, "bad.json:1: field 'reward' must be a number"),
+        _file_holding(_memory_line(cells=[1]), NEIGHBORS, "bad.json:1: problem_fp: field 'cells' must be a list"),
+        _file_holding(
+            _memory_line(cells=[[[0], 1, 2]]), NEIGHBORS, "bad.json:1: problem_fp: field 'cells' must be a list"
+        ),
+        _file_holding(
+            _memory_line(resolution="4"), NEIGHBORS, "bad.json:1: problem_fp: field 'resolution' must be an integer"
+        ),
+        _file_holding(
+            _memory_line(method_path_nodes="abc"), NEIGHBORS, "bad.json:1: field 'method_path_nodes' must be a list"
+        ),
+        _file_holding(_memory_line(method={"x": 1}), NEIGHBORS, "bad.json:1: field 'method' must be an object"),
+        _workdir_holding(
+            '{"format": "graft-rows/1", "tree_version": "v", "rows": {"a": 3}}',
+            ["sample", "asub.json", "--rows", "bad.json", "--seed", "0"],
+            "bad.json: row 'a': expected a JSON object",
+        ),
+        _workdir_holding(
+            '{"problem_count": "3", "mutation_rate": 0.4, "noise_level": 1.0}',
+            [*LOOP, "--env-spec", "bad.json"],
+            "bad.json: problem_count must be an integer",
+        ),
     ],
     ids=[
         "array", "string", "number", "empty-array", "memory-line-array", "no-graph", "no-content-hash",
         "fingerprint-no-cells", "memory-line-no-field", "rows-no-rows", "env-spec-array", "env-spec-unknown-key",
-        "env-spec-no-mutation-rate", "problem-out-of-range", "observables-array",
+        "env-spec-no-mutation-rate", "problem-out-of-range", "observables-array", "memory-reward-string",
+        "memory-reward-bool", "memory-cells-not-triples", "memory-cell-holding-a-list", "memory-resolution-string",
+        "memory-path-nodes-string", "memory-method-number", "rows-row-number", "env-spec-count-string",
     ],
 )
 def test_malformed_files_end_in_one_error_line(case, tmp_path):
@@ -206,8 +247,12 @@ def _loop_workdir(tmp_path, action_doc):
 
 @pytest.mark.parametrize(
     "edit",
-    [lambda picks: {"breakfast": picks["breakfast"]}, lambda picks: {**picks, "breakfast": "transport_bike"}],
-    ids=["one-chain-only", "value-of-another-chain"],
+    [
+        lambda picks: {"breakfast": picks["breakfast"]},
+        lambda picks: {**picks, "breakfast": "transport_bike"},
+        lambda picks: {**picks, "clothes": None},  # helmet and style keep values their gate no longer allows
+    ],
+    ids=["one-chain-only", "value-of-another-chain", "null-on-a-gated-chain"],
 )
 def test_record_refuses_a_method_outside_the_substrate(edit, tmp_path):
     _workdir_holding("{}", [], "")(tmp_path)  # asub.json, m.json and p.fp
