@@ -4,40 +4,24 @@ Exit codes: 0 success, 1 domain error, 2 usage error.  Commands that draw
 random numbers require an explicit --seed.  Relative paths resolve against
 $GRAFT_WORKSPACE when it is set.  Numbers are printed in shortest exact
 round-trip form.
+
+Each handler imports the library calls it makes, so numpy is loaded only
+by the subcommands that draw, rank or project (``sample``, ``prior``,
+``neighbors``, ``loop`` and ``landscape``) and the loop module only by
+``loop``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import io
-from .build import build_substrate
-from .embedding import (
-    KEEP_ALL,
-    KEEP_S_ONLY,
-    fingerprint,
-    jaccard,
-    landscape_export,
-    layout,
-    min_injective_k,
-)
+from .embedding import KEEP_ALL, KEEP_S_ONLY
 from .errors import GraftError
-from .graph import validate_graph
-from .loop import SyntheticEnvSpec, make_synthetic_env, run_trial
-from .memory import MemoryEntry, PriorParams, compile_prior, rank_neighbors, record
-from .policy import (
-    MethodTuple,
-    method_path_nodes,
-    method_probability,
-    sample_method,
-    validate_tuple,
-)
-from .reduction import extract_chains
 
 
 def _workspace() -> Path:
@@ -62,6 +46,8 @@ def _load_substrate_for(args, attribute="substrate"):
 
 
 def cmd_validate(args) -> int:
+    from .graph import validate_graph
+
     g = io.load_graph(_resolve(args.graph))
     report = validate_graph(g)
     for v in report.violations:
@@ -70,6 +56,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .build import build_substrate
+
     g = io.load_graph(_resolve(args.graph))
     s = build_substrate(g)
     tree, ci = s.tree, s.chains
@@ -91,6 +79,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from .build import build_substrate
+
     g = io.load_graph(_resolve(args.graph))
     s = build_substrate(g)
     io.save_substrate(s, _resolve(args.out))
@@ -99,6 +89,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .embedding import layout
+
     s = _load_substrate_for(args)
     io.save_embedding(layout(s.tree), _resolve(args.out))
     _say(args, f"embedding written to {args.out}")
@@ -106,6 +98,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
+    from .embedding import fingerprint, layout, min_injective_k
+
     s = _load_substrate_for(args)
     e = layout(s.tree)
     resolution = min_injective_k(e) if args.k == "auto" else int(args.k)
@@ -121,6 +115,8 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_similarity(args) -> int:
+    from .embedding import jaccard
+
     a = io.load_fingerprint(_resolve(args.fp1))
     b = io.load_fingerprint(_resolve(args.fp2))
     print(repr(jaccard(a, b)))
@@ -128,6 +124,8 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_prior(args) -> int:
+    from .memory import PriorParams, compile_prior
+
     s = _load_substrate_for(args)
     p_new = io.load_fingerprint(_resolve(args.problem))
     repo = io.load_memory(
@@ -143,6 +141,8 @@ def cmd_prior(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .policy import sample_method
+
     s = _load_substrate_for(args)
     rows = io.load_rows(_resolve(args.rows))
     avoid = frozenset(io.load_method_list(_resolve(args.avoid))) if args.avoid else frozenset()
@@ -152,6 +152,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_prob(args) -> int:
+    from .policy import method_probability
+
     s = _load_substrate_for(args)
     rows = io.load_rows(_resolve(args.rows))
     m = io.load_method(_resolve(args.method))
@@ -159,7 +161,7 @@ def cmd_prob(args) -> int:
     return 0
 
 
-def _check_gates(s, m: MethodTuple) -> None:
+def _check_gates(s, m) -> None:
     """Refuse a tuple no draw can produce: a null on a chain whose gate is
     met (top chains have none), or a value on a chain whose gate is not."""
     picks = m.picks
@@ -173,12 +175,15 @@ def _check_gates(s, m: MethodTuple) -> None:
 
 
 def cmd_record(args) -> int:
+    from .memory import MemoryEntry, record
+    from .policy import method_path_nodes, validate_tuple
+
     s = _load_substrate_for(args)
     p_fp = io.load_fingerprint(_resolve(args.problem))
     m = io.load_method(_resolve(args.method))
     validate_tuple(s, m)
     _check_gates(s, m)
-    observables = io.load_object(_resolve(args.observables)) if args.observables else {}
+    observables = io.load_observables(_resolve(args.observables)) if args.observables else {}
     repo = io.load_memory(
         _resolve(args.memory),
         problem_tree_version=p_fp.tree_tag,
@@ -198,6 +203,8 @@ def cmd_record(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
+    from .memory import rank_neighbors
+
     p_fp = io.load_fingerprint(_resolve(args.problem))
     repo = io.load_memory(_resolve(args.memory))
     ranked = rank_neighbors(repo, p_fp, args.count)
@@ -208,6 +215,10 @@ def cmd_neighbors(args) -> int:
 
 
 def cmd_loop(args) -> int:
+    import dataclasses
+
+    from .loop import SyntheticEnvSpec, make_synthetic_env, run_trial
+
     s = _load_substrate_for(args)
     spec_path, spec_fields = _resolve(args.env_spec), dataclasses.fields(SyntheticEnvSpec)
     required = tuple(f.name for f in spec_fields if f.default is dataclasses.MISSING)
@@ -278,6 +289,8 @@ def cmd_loop(args) -> int:
 
 
 def cmd_landscape(args) -> int:
+    from .embedding import landscape_export, layout
+
     memory = io.load_memory(_resolve(args.memory))
     problem_s = io.load_substrate(_resolve(args.problem_substrate))
     action_s = io.load_substrate(_resolve(args.action_substrate))

@@ -13,12 +13,13 @@ normalised Jaccard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import FingerprintError, ResolutionSearchError
 from .reduction import FactoredTree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 K_MAX = 4096
 VISUALIZATION_K = 32
@@ -109,18 +110,27 @@ def bin_cells(e: Embedding, resolution: int) -> dict[str, tuple[int, int, int]]:
 
 
 def min_injective_k(e: Embedding, cap: int = K_MAX) -> int:
-    """Smallest resolution at which binning separates every node; hard cap."""
-    nodes = sorted(e.position)
-    xs = np.array([e.position[n][0] for n in nodes])
-    ys = np.array([e.position[n][1] for n in nodes])
-    ds = np.array([e.depth[n] for n in nodes], dtype=np.int64)
-    n = len(nodes)
+    """Smallest resolution at which binning separates every node; hard cap.
+
+    Resolutions are tried in order.  A pair of nodes seen to share a cell
+    at an earlier resolution is tried first, most recent first, and
+    rejects a resolution it still collides at without binning the rest.
+    """
+    witnesses: list[tuple[str, str]] = []
     for k in range(1, cap + 1):
-        ix = np.minimum(k - 1, np.floor(k * xs)).astype(np.int64)
-        iy = np.minimum(k - 1, np.floor(k * ys)).astype(np.int64)
-        keys = (ix * (k + 1) + iy) * np.int64(len(nodes) + e.max_depth + 2) + ds
-        if len(np.unique(keys)) == n:
-            return k
+        for i, (a, b) in enumerate(witnesses):
+            if bin_cell(e, a, k) == bin_cell(e, b, k):
+                witnesses.insert(0, witnesses.pop(i))
+                break
+        else:
+            seen: dict[tuple[int, int, int], str] = {}
+            for node in e.position:
+                other = seen.setdefault(bin_cell(e, node, k), node)
+                if other != node:
+                    witnesses.insert(0, (other, node))
+                    break
+            else:
+                return k
     raise ResolutionSearchError(f"no K <= {cap} separates all nodes")
 
 
@@ -178,6 +188,8 @@ def first_principal_coordinates(vectors: np.ndarray) -> tuple[np.ndarray, bool]:
     positive.  Returns (coordinates, degenerate_flag); a degenerate input
     (no variance) yields all-zero coordinates with the flag set.
     """
+    import numpy as np
+
     centered = vectors - vectors.mean(axis=0, keepdims=True)
     p = centered.shape[1]
     v = np.ones(p) / np.sqrt(p)
@@ -206,6 +218,8 @@ class LandscapeTable:
 
 
 def _indicator_matrix(cell_sets: list[frozenset[tuple[int, int, int]]]) -> np.ndarray:
+    import numpy as np
+
     all_cells = sorted(set().union(*cell_sets))
     index = {c: i for i, c in enumerate(all_cells)}
     out = np.zeros((len(cell_sets), len(all_cells)))

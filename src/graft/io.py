@@ -18,7 +18,7 @@ from .build import Substrate, build_substrate, substrate_content_hash
 from .embedding import Embedding, Fingerprint
 from .errors import GraftError, VersionMismatchError
 from .graph import KnowledgeGraph, graph_from_document, graph_to_document
-from .memory import MemoryEntry, MemoryRepository
+from .memory import MemoryEntry, MemoryRepository, check_observables
 from .policy import MethodTuple, PolicyRows, ProbabilityRow
 
 SUBSTRATE_FORMAT = "graft-substrate/1"
@@ -274,6 +274,16 @@ def _entry_from_payload(payload: dict, fingerprints: dict[tuple, Fingerprint], n
     )
 
 
+def load_observables(path: str | Path) -> dict[str, float]:
+    """An observables file: one JSON object whose values are numbers."""
+    payload = load_object(path)
+    try:
+        check_observables(payload)
+    except ValueError as exc:
+        raise GraftError(f"{path}: {exc}") from None
+    return payload
+
+
 def save_memory(repo: MemoryRepository, path: str | Path) -> None:
     lines = [
         json.dumps(_entry_payload(e, repo), sort_keys=True, separators=(",", ":"))
@@ -315,7 +325,10 @@ def load_memory(
                 versions = record_versions
             elif versions != record_versions:
                 raise VersionMismatchError(f"{path}:{i + 1}: mixed tree versions in one memory file")
-            entries.append(_entry_from_payload(payload, fingerprints, names))
+            try:
+                entries.append(_entry_from_payload(payload, fingerprints, names))
+            except ValueError as exc:  # MemoryEntry's reward and observable checks
+                raise GraftError(f"{where}: {exc}") from None
     if versions is None:
         if problem_tree_version is None or action_tree_version is None:
             raise GraftError(f"{path}: empty memory needs explicit tree versions")

@@ -19,15 +19,13 @@ from __future__ import annotations
 import hashlib
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, get_args, get_type_hints
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Protocol, get_args, get_type_hints
 
 from .build import Substrate, build_substrate
 from .embedding import Embedding, Fingerprint, fingerprint, jaccard, layout, min_injective_k
 from .errors import GraftError, SupportExhaustedError
 from .graph import KnowledgeGraph, graph_from_document
-from .memory import MemoryEntry, MemoryRepository, R_MAX, compile_prior, record
+from .memory import MemoryEntry, MemoryRepository, R_MAX, check_observables, compile_prior, record
 from .policy import (
     MethodTuple,
     PolicyRows,
@@ -38,6 +36,9 @@ from .policy import (
     sample_method,
     uniform_rows,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def random_chain_strategy(shared: dict[str, tuple[float, ...]], rng: np.random.Generator) -> list[str]:
@@ -108,6 +109,8 @@ class TrialResult:
 
 
 def _iteration_seed(base_seed: int, iteration: int, stream: int) -> int:
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(iteration, stream))
     return int(ss.generate_state(1)[0])
 
@@ -130,6 +133,8 @@ def advisor_edit(
     outside ``avoid``.  Returns None when no admissible single-chain edit
     exists.
     """
+    import numpy as np
+
     try:
         strategy_fn = ADVISOR_STRATEGIES[strategy]
     except KeyError:
@@ -208,6 +213,7 @@ def run_trial(
 
         state = env.implement(m, state)
         observables = env.execute(state)
+        check_observables(observables)  # before score reads them
         reward = env.score(observables)
         history.records.append(TrialRecord(method=m, observables=observables, reward=reward))
         record(
@@ -318,9 +324,6 @@ class SyntheticEnvironment:
     action_k: int
     problems: list[SyntheticProblem]
 
-    def problem_fingerprint(self, index: int) -> Fingerprint:
-        return self.problems[index].fingerprint
-
     def true_reward(self, index: int, method: MethodTuple) -> float:
         """Noise-free ground truth for oracle tests."""
         fp = self._method_fingerprint(method)
@@ -393,6 +396,8 @@ def make_synthetic_env(spec: SyntheticEnvSpec, seed: int) -> SyntheticEnvironmen
     """Reproducible environment: problems plus hidden targets, coupled so that
     problems mutated little from the base hide targets mutated little from
     the base target."""
+    import numpy as np
+
     spec.validate()
     if spec.problem_graph is not None:
         problem_graph = graph_from_document(spec.problem_graph)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .build import Substrate, build_substrate
 from .embedding import Fingerprint, jaccard
@@ -32,6 +31,9 @@ from .policy import (
 )
 from .reduction import FactoredTree
 
+if TYPE_CHECKING:
+    import numpy as np
+
 R_MAX = 100.0
 
 
@@ -47,6 +49,14 @@ class MemoryEntry:
     def __post_init__(self):
         if not 0.0 <= self.reward <= R_MAX:
             raise ValueError(f"reward {self.reward} outside [0, {R_MAX}]")
+        check_observables(self.observables)
+
+
+def check_observables(observables: dict[str, float]) -> None:
+    """Refuse an observable whose value is not a number; a bool is not one."""
+    for key, value in observables.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"observable {key!r} must be a number, found {type(value).__name__}")
 
 
 class _NeighborIndex:
@@ -65,10 +75,7 @@ class _NeighborIndex:
         self.last: MemoryEntry | None = None  # entries[n - 1] when it was indexed
         self.bits: dict[tuple[int, int, int], int] = {}
         self.groups: dict[tuple[str, int], int] = {}
-        self.words = np.zeros((0, 1), dtype=np.uint64)
-        self.count = np.zeros(0, dtype=np.int64)
-        self.reward = np.zeros(0, dtype=np.float64)
-        self.group = np.zeros(0, dtype=np.int64)
+        self.words = self.count = self.reward = self.group = None  # numpy columns, made by _reserve
 
     def covers_prefix_of(self, entries: list[MemoryEntry]) -> bool:
         """Whether ``entries`` is the list indexed, grown only at its end."""
@@ -85,11 +92,19 @@ class _NeighborIndex:
         return mask
 
     def _words(self, masks: list[int]) -> np.ndarray:
+        import numpy as np
+
         width = self.words.shape[1]
         return np.frombuffer(b"".join(m.to_bytes(8 * width, "little") for m in masks), dtype="<u8").reshape(-1, width)
 
     def _reserve(self, rows: int, width: int) -> None:
         """Room for ``rows`` rows of ``width`` words; row capacity doubles."""
+        import numpy as np
+
+        if self.words is None:
+            self.words = np.zeros((0, 1), dtype=np.uint64)
+            self.count, self.group = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+            self.reward = np.zeros(0, dtype=np.float64)
         cap, have = self.words.shape
         if rows > cap:
             cap = max(cap, 1)
@@ -106,6 +121,8 @@ class _NeighborIndex:
 
     def extend(self, entries: list[MemoryEntry]) -> None:
         """Index ``entries[n:]``, encoding each distinct Fingerprint once."""
+        import numpy as np
+
         self.entries, start = entries, self.n
         new = entries[start:]
         if not new:
@@ -132,7 +149,11 @@ class _NeighborIndex:
         self.n, self.last = end, entries[end - 1]
 
     def rank(self, p_new: Fingerprint, n: int) -> list[tuple[MemoryEntry, float]]:
+        import numpy as np
+
         entries, size = self.entries, self.n
+        if size == 0:
+            return []
         live = ~np.fromiter(map(attrgetter("stale"), entries), dtype=bool, count=size)
         if p_new.cells:
             group = self.groups.get((p_new.tree_tag, p_new.resolution), -1)

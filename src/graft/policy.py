@@ -17,13 +17,14 @@ activity reads only the dependency-graph parents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .build import Substrate
 from .errors import EnumerationCapError, RuleSupportError, SupportExhaustedError, VersionMismatchError
 from .reduction import FactoredTree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MASS_TOLERANCE = 1e-12
 MAX_RETRIES = 64  # rejection draws against an avoid set before enumerating
@@ -310,6 +311,8 @@ def sample_method(
     support minus the avoid set and drawing from its renormalisation; raises
     SupportExhaustedError when nothing remains.
     """
+    import numpy as np
+
     _check_rows_version(substrate, rows)
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(MAX_RETRIES if avoid else 1):

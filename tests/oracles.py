@@ -14,6 +14,8 @@ import itertools
 import numpy as np
 
 from graft import KnowledgeGraph, MethodTuple, Substrate, build_substrate, graph_from_document, jaccard
+from graft.embedding import K_MAX, Embedding
+from graft.errors import ResolutionSearchError
 from graft.memory import MemoryEntry, MemoryRepository
 from graft.policy import PolicyRows
 
@@ -26,6 +28,25 @@ def rank_neighbors_by_jaccard(repo: MemoryRepository, p_new, n: int) -> list[tup
     order, calling ``jaccard`` once per entry."""
     scored = ((-jaccard(p_new, e.problem_fp), -e.reward, i, e) for i, e in enumerate(repo.entries) if not e.stale)
     return [(e, -neg_sim) for neg_sim, _, _, e in heapq.nsmallest(n, scored)]
+
+
+# -- the resolution search over numpy arrays ------------------------------------
+
+
+def min_injective_k_numpy(e: Embedding, cap: int = K_MAX) -> int:
+    """Smallest resolution at which binning separates every node; hard cap."""
+    nodes = sorted(e.position)
+    xs = np.array([e.position[n][0] for n in nodes])
+    ys = np.array([e.position[n][1] for n in nodes])
+    ds = np.array([e.depth[n] for n in nodes], dtype=np.int64)
+    n = len(nodes)
+    for k in range(1, cap + 1):
+        ix = np.minimum(k - 1, np.floor(k * xs)).astype(np.int64)
+        iy = np.minimum(k - 1, np.floor(k * ys)).astype(np.int64)
+        keys = (ix * (k + 1) + iy) * np.int64(len(nodes) + e.max_depth + 2) + ds
+        if len(np.unique(keys)) == n:
+            return k
+    raise ResolutionSearchError(f"no K <= {cap} separates all nodes")
 
 
 # -- independent longest-path levels ------------------------------------------

@@ -268,3 +268,20 @@ class TestSyntheticEnvironment:
         r1 = run_trial(env.bind(1), env.action_substrate, repo, env.problems[1].fingerprint, budget=5, seed=2)
         assert len(repo) == len(r0.history) + len(r1.history) == 10
         assert 0.0 <= r0.best_reward <= 100.0
+
+
+class TextEnvironment(PinnedEnvironment):
+    """Reports its observable as a string."""
+
+    def execute(self, state):
+        return {"hit": "yes" if state == self.target else "no"}
+
+
+def test_environment_observables_must_be_numbers():
+    s = two_chain_substrate()
+    fp = problem_fp_for(s)
+    repo = fresh_repo(s, fp)
+    target = MethodTuple.from_picks({"A": "a1", "B": "b1"})
+    with pytest.raises(ValueError, match="observable 'hit' must be a number, found str"):
+        run_trial(TextEnvironment(target), s, repo, fp, budget=2, seed=0)
+    assert len(repo) == 0

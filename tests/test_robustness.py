@@ -294,3 +294,41 @@ def test_substrate_file_with_derived_sections_still_loads(tmp_path):
     payload["footprint"] = {"joint": s.joint_size, "factored": s.footprint}
     (tmp_path / "old.json").write_text(json.dumps(payload))
     assert io.load_substrate(tmp_path / "old.json").levels.level == s.levels.level
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _file_holding(_memory_line(reward=500.0), NEIGHBORS, "bad.json:1: reward 500.0 outside [0, 100.0]"),
+        _file_holding(_memory_line(reward=-1), NEIGHBORS, "bad.json:1: reward -1 outside [0, 100.0]"),
+        _file_holding(
+            _memory_line(observables={"wall": {"a": 1}}),
+            NEIGHBORS,
+            "bad.json:1: observable 'wall' must be a number, found dict",
+        ),
+        _file_holding(
+            _memory_line(observables={"wall": True}), NEIGHBORS, "bad.json:1: observable 'wall' must be a number, found bool"
+        ),
+        _workdir_holding(
+            '{"wall": {"a": 1}}',
+            [*RECORD, "--observables", "bad.json", "--reward", "1"],
+            "bad.json: observable 'wall' must be a number, found dict",
+        ),
+        _workdir_holding(
+            '{"wall": 1, "ok": false}',
+            [*RECORD, "--observables", "bad.json", "--reward", "1"],
+            "bad.json: observable 'ok' must be a number, found bool",
+        ),
+    ],
+    ids=[
+        "memory-reward-too-high", "memory-reward-negative", "memory-observable-object", "memory-observable-bool",
+        "record-observable-object", "record-observable-bool",
+    ],
+)
+def test_bad_rewards_and_observables_name_their_file(case, tmp_path):
+    (tmp_path / "morning.json").write_text(json.dumps(morning_graph_document()))
+    argv, needle = case(tmp_path)
+    out = run_cli(*argv, cwd=tmp_path)
+    assert_one_error_line(out)
+    assert needle in out.stderr
+    assert not (tmp_path / "memory.jsonl").exists()  # record wrote nothing
