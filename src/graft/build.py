@@ -92,6 +92,15 @@ class Substrate:
         return tuple(sorted(self.chains.chains, key=lambda c: (self.levels[c], c)))
 
     @cached_property
+    def chain_parents(self) -> dict[str, tuple[str, ...]]:
+        """chain id -> its parents in the dependency graph, in chain_order."""
+        parents: dict[str, list[str]] = {cid: [] for cid in self.chain_order}
+        for a, b in self.dep.edges:
+            parents[b].append(a)
+        position = {cid: i for i, cid in enumerate(self.chain_order)}
+        return {cid: tuple(sorted(ps, key=position.__getitem__)) for cid, ps in parents.items()}
+
+    @cached_property
     def decision_chain_ids(self) -> tuple[str, ...]:
         return self.chains.decision_chain_ids
 

@@ -9,17 +9,20 @@ shortest-repr encoding json uses for binary64.
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .build import Substrate, build_substrate, substrate_content_hash
 from .embedding import Embedding, Fingerprint
 from .errors import GraftError, VersionMismatchError
 from .graph import KnowledgeGraph, graph_from_document, graph_to_document
-from .memory import MemoryEntry, MemoryRepository, check_observables
-from .policy import MethodTuple, PolicyRows, ProbabilityRow
+
+if TYPE_CHECKING:  # imported by the loaders that need them, so other subcommands skip them
+    from .memory import MemoryEntry, MemoryRepository
+    from .policy import MethodTuple, PolicyRows
 
 SUBSTRATE_FORMAT = "graft-substrate/1"
 ROWS_FORMAT = "graft-rows/1"
@@ -166,6 +169,8 @@ def save_rows(rows: PolicyRows, path: str | Path) -> None:
 
 
 def load_rows(path: str | Path) -> PolicyRows:
+    from .policy import PolicyRows, ProbabilityRow
+
     payload = _object(path, load_object(path, ROWS_FORMAT, ("rows", "tree_version")), kinds=ROWS_FILE_KINDS)
     rows = {}
     for node, r in payload["rows"].items():
@@ -217,12 +222,16 @@ def save_method(m: MethodTuple, path: str | Path) -> None:
 
 
 def load_method(path: str | Path) -> MethodTuple:
+    from .policy import MethodTuple
+
     payload = _object(path, load_object(path, METHOD_FORMAT, ("picks",)), kinds={"picks": PICKS})
     return MethodTuple.from_picks(payload["picks"])
 
 
 def load_method_list(path: str | Path) -> list[MethodTuple]:
     """A JSON array of picks objects (or method payloads), e.g. an avoid set."""
+    from .policy import MethodTuple
+
     payload = _parse_json(path, Path(path).read_text())
     if not isinstance(payload, list):
         raise GraftError(f"{path}: expected a JSON array of method records")
@@ -253,29 +262,39 @@ def _entry_payload(entry: MemoryEntry, repo: MemoryRepository) -> dict:
     }
 
 
-def _entry_from_payload(payload: dict, fingerprints: dict[tuple, Fingerprint], names: dict) -> MemoryEntry:
-    """One memory entry.  Equal problem fingerprints resolve to the first
-    one met in ``fingerprints``, and node names to the first equal string
-    in ``names``, so the entries of one load share them."""
-    share = names.setdefault
-    key = _fingerprint_fields(payload["problem_fp"])
-    problem_fp = fingerprints.get(key)
-    if problem_fp is None:
-        problem_fp = fingerprints[key] = Fingerprint(*key)
-    picks, nodes = payload["method"], payload["method_path_nodes"]
-    chains, values = map(share, picks, picks), map(share, picks.values(), picks.values())
-    return MemoryEntry(
-        problem_fp=problem_fp,
-        method=MethodTuple(items=tuple(sorted(zip(chains, values)))),  # as MethodTuple.from_picks orders them
-        method_path_nodes=frozenset(map(share, nodes, nodes)),
-        observables=dict(payload["observables"]),
-        reward=payload["reward"],
-        stale=payload.get("stale", False),
-    )
+def _entry_reader() -> Callable[[dict], MemoryEntry]:
+    """A function from a memory record to its entry.  Equal problem
+    fingerprints resolve to the first one it met, and node names to the
+    first equal string, so the entries of one load share them; method
+    pairs are shared through ``MethodTuple.from_picks``."""
+    from .memory import MemoryEntry
+    from .policy import MethodTuple
+
+    fingerprints: dict[tuple, Fingerprint] = {}  # (cells, resolution, tree_tag, keep) -> one object
+    share = {}.setdefault  # node name -> the first equal string
+
+    def read(payload: dict) -> MemoryEntry:
+        key = _fingerprint_fields(payload["problem_fp"])
+        problem_fp = fingerprints.get(key)
+        if problem_fp is None:
+            problem_fp = fingerprints[key] = Fingerprint(*key)
+        nodes = payload["method_path_nodes"]
+        return MemoryEntry(
+            problem_fp=problem_fp,
+            method=MethodTuple.from_picks(payload["method"]),
+            method_path_nodes=frozenset(map(share, nodes, nodes)),
+            observables=dict(payload["observables"]),
+            reward=payload["reward"],
+            stale=payload.get("stale", False),
+        )
+
+    return read
 
 
 def load_observables(path: str | Path) -> dict[str, float]:
     """An observables file: one JSON object whose values are numbers."""
+    from .memory import check_observables
+
     payload = load_object(path)
     try:
         check_observables(payload)
@@ -308,27 +327,37 @@ def load_memory(
     An empty or missing file yields an empty repository with the supplied
     versions (both must then be given).
     """
+    from .memory import MemoryRepository
+
     p = Path(path)
     entries = []
     versions: tuple[str, str] | None = None
-    fingerprints: dict[tuple, Fingerprint] = {}  # (cells, resolution, tree_tag, keep) -> one object
-    names: dict[str, str] = {}
     if p.exists():
-        for i, line in enumerate(p.read_text().splitlines()):
-            if not line.strip():
-                continue
-            where = f"{path}:{i + 1}"
-            payload = _object(where, _parse_json(where, line), fields=MEMORY_FIELDS, kinds=MEMORY_KINDS)
-            _object(f"{where}: problem_fp", payload["problem_fp"], fields=FINGERPRINT_FIELDS, kinds=FINGERPRINT_KINDS)
-            record_versions = (payload["problem_tree_version"], payload["action_tree_version"])
-            if versions is None:
-                versions = record_versions
-            elif versions != record_versions:
-                raise VersionMismatchError(f"{path}:{i + 1}: mixed tree versions in one memory file")
-            try:
-                entries.append(_entry_from_payload(payload, fingerprints, names))
-            except ValueError as exc:  # MemoryEntry's reward and observable checks
-                raise GraftError(f"{where}: {exc}") from None
+        text, read = p.read_text(), _entry_reader()
+        collecting = gc.isenabled()
+        # the parse allocates many containers and frees no cycles, so
+        # collections would only rescan them
+        gc.disable()
+        try:
+            for i, line in enumerate(text.splitlines()):
+                if not line.strip():
+                    continue
+                where = f"{path}:{i + 1}"
+                payload = _object(where, _parse_json(where, line), fields=MEMORY_FIELDS, kinds=MEMORY_KINDS)
+                fp_where = f"{where}: problem_fp"
+                _object(fp_where, payload["problem_fp"], fields=FINGERPRINT_FIELDS, kinds=FINGERPRINT_KINDS)
+                record_versions = (payload["problem_tree_version"], payload["action_tree_version"])
+                if versions is None:
+                    versions = record_versions
+                elif versions != record_versions:
+                    raise VersionMismatchError(f"{path}:{i + 1}: mixed tree versions in one memory file")
+                try:
+                    entries.append(read(payload))
+                except ValueError as exc:  # MemoryEntry's reward and observable checks
+                    raise GraftError(f"{where}: {exc}") from None
+        finally:
+            if collecting:
+                gc.enable()
     if versions is None:
         if problem_tree_version is None or action_tree_version is None:
             raise GraftError(f"{path}: empty memory needs explicit tree versions")

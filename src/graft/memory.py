@@ -36,6 +36,24 @@ if TYPE_CHECKING:
 
 R_MAX = 100.0
 
+# Bumped whenever an entry's stale flag changes after construction; a
+# neighbour index re-reads the flags only when this differs from the value
+# its live column was read at.
+_stale_changes = 0
+
+
+class _StaleFlag:
+    """``MemoryEntry.stale``, kept in the plain attribute ``_stale``."""
+
+    def __get__(self, entry, owner=None):
+        return False if entry is None else entry._stale  # the class's default
+
+    def __set__(self, entry, value) -> None:
+        global _stale_changes
+        if entry._stale is not None and value != entry._stale:
+            _stale_changes += 1
+        entry._stale = value
+
 
 @dataclass
 class MemoryEntry:
@@ -44,7 +62,8 @@ class MemoryEntry:
     method_path_nodes: frozenset[str]
     observables: dict[str, float]
     reward: float
-    stale: bool = False
+    stale: bool = _StaleFlag()
+    _stale = None  # not a field: None until __init__ sets the flag
 
     def __post_init__(self):
         if not 0.0 <= self.reward <= R_MAX:
@@ -59,14 +78,22 @@ def check_observables(observables: dict[str, float]) -> None:
             raise ValueError(f"observable {key!r} must be a number, found {type(value).__name__}")
 
 
+def _live(entries: list[MemoryEntry], count: int) -> np.ndarray:
+    """Whether each of the first ``count`` entries is not stale."""
+    import numpy as np
+
+    return ~np.fromiter(map(attrgetter("stale"), entries), dtype=bool, count=count)
+
+
 class _NeighborIndex:
     """Columns over a repository's entries for exact Jaccard ranking.
 
     Every distinct cell ``(x, y, depth)`` is interned to a bit position, at
     any resolution, and each entry keeps its cells as a row of uint64 words
-    beside its cell count, its reward and a small id for its fingerprint's
-    ``(tree_tag, resolution)``.  Rows are only ever added; ``stale`` is read
-    from the entries on every ranking.
+    beside its cell count, its reward, a small id for its fingerprint's
+    ``(tree_tag, resolution)`` and whether it is live (not stale).  Rows are
+    only ever added.  The live column is filled as rows are added and read
+    again from every entry only after some stale flag has changed.
     """
 
     def __init__(self) -> None:
@@ -75,7 +102,8 @@ class _NeighborIndex:
         self.last: MemoryEntry | None = None  # entries[n - 1] when it was indexed
         self.bits: dict[tuple[int, int, int], int] = {}
         self.groups: dict[tuple[str, int], int] = {}
-        self.words = self.count = self.reward = self.group = None  # numpy columns, made by _reserve
+        self.words = self.count = self.reward = self.group = self.live = None  # numpy columns, made by _reserve
+        self.stale_changes = _stale_changes  # the value the live column is current at
 
     def covers_prefix_of(self, entries: list[MemoryEntry]) -> bool:
         """Whether ``entries`` is the list indexed, grown only at its end."""
@@ -104,13 +132,13 @@ class _NeighborIndex:
         if self.words is None:
             self.words = np.zeros((0, 1), dtype=np.uint64)
             self.count, self.group = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-            self.reward = np.zeros(0, dtype=np.float64)
+            self.reward, self.live = np.zeros(0, dtype=np.float64), np.zeros(0, dtype=bool)
         cap, have = self.words.shape
         if rows > cap:
             cap = max(cap, 1)
             while cap < rows:
                 cap *= 2
-            for name in ("count", "reward", "group"):
+            for name in ("count", "reward", "group", "live"):
                 column = np.zeros(cap, dtype=getattr(self, name).dtype)
                 column[: self.n] = getattr(self, name)[: self.n]
                 setattr(self, name, column)
@@ -146,6 +174,7 @@ class _NeighborIndex:
         self.count[start:end] = np.array(counts)[rows]
         self.group[start:end] = np.array(groups)[rows]
         self.reward[start:end] = [e.reward for e in new]
+        self.live[start:end] = _live(new, len(new))
         self.n, self.last = end, entries[end - 1]
 
     def rank(self, p_new: Fingerprint, n: int) -> list[tuple[MemoryEntry, float]]:
@@ -154,7 +183,10 @@ class _NeighborIndex:
         entries, size = self.entries, self.n
         if size == 0:
             return []
-        live = ~np.fromiter(map(attrgetter("stale"), entries), dtype=bool, count=size)
+        if self.stale_changes != _stale_changes:
+            self.stale_changes = _stale_changes
+            self.live[:size] = _live(entries, size)
+        live = self.live[:size]
         if p_new.cells:
             group = self.groups.get((p_new.tree_tag, p_new.resolution), -1)
             bad = live & ((self.group[:size] != group) | (self.count[:size] == 0))

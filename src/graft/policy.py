@@ -63,6 +63,12 @@ class PolicyRows:
     tree_version: str
 
 
+# The first (chain, value) pair met, for every pair equal to it, so that the
+# method tuples of a memory share their pairs.  It grows with the distinct
+# chain values met, not with the tuples made.
+_PAIRS: dict[tuple[str, Optional[str]], tuple[str, Optional[str]]] = {}
+
+
 @dataclass(frozen=True)
 class MethodTuple:
     """One value per chain: alphabet member, presence marker, or None."""
@@ -71,7 +77,8 @@ class MethodTuple:
 
     @classmethod
     def from_picks(cls, picks: Mapping[str, Optional[str]]) -> "MethodTuple":
-        return cls(items=tuple(sorted(picks.items())))
+        pairs = picks.items()
+        return cls(items=tuple(sorted(map(_PAIRS.setdefault, pairs, pairs))))
 
     @property
     def picks(self) -> dict[str, Optional[str]]:
@@ -153,9 +160,9 @@ def chain_prior(substrate: Substrate, rows: PolicyRows, chain_id: str) -> Probab
 
 
 def _check_lower_levels_resolved(substrate: Substrate, chain_id: str, resolved) -> None:
-    lvl = substrate.levels[chain_id]
-    for cid in substrate.chain_order:
-        if substrate.levels[cid] < lvl and cid not in resolved:
+    # a chain's kernel reads only its dependency-graph parents: the gate and the rule triggers
+    for cid in substrate.chain_parents[chain_id]:
+        if cid not in resolved:
             raise ValueError(f"chain {cid} (level {substrate.levels[cid]}) unresolved below {chain_id}")
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from graft import (
+    GraftError,
     MemoryEntry,
     MemoryRepository,
     MethodTuple,
@@ -149,6 +151,35 @@ class TestRoundTrips:
 
         with pytest.raises(VersionMismatchError):
             io.load_memory(path)
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_memory_load_restores_the_collector_state(self, tmp_path, collecting):
+        s = build_substrate(morning_graph())
+        e = layout(s.tree)
+        fp = fingerprint(e, s.tree.path_from_root("helmet_yes"), min_injective_k(e))
+        m = MethodTuple.from_picks(
+            {"breakfast": "breakfast_no", "clothes": "clothes", "style": "style_formal", "helmet": "helmet_no",
+             "transport": "transport_car"}
+        )  # fmt: skip
+        repo = MemoryRepository(e.tree_version, s.tree_version)
+        record(repo, MemoryEntry(fp, m, method_path_nodes(s, m), {}, 1.0))
+        good = tmp_path / "memory.jsonl"
+        io.save_memory(repo, good)
+        line = good.read_text()
+        bad_json, bad_reward = tmp_path / "bad-json.jsonl", tmp_path / "bad-reward.jsonl"
+        bad_json.write_text(line + "{not json\n")
+        bad_reward.write_text(line + line.replace('"reward":1.0', '"reward":500.0'))
+        was = gc.isenabled()
+        try:
+            gc.enable() if collecting else gc.disable()
+            assert len(io.load_memory(good)) == 1
+            assert gc.isenabled() is collecting
+            for path, message in ((bad_json, "malformed JSON"), (bad_reward, "reward 500.0")):
+                with pytest.raises(GraftError, match=message):
+                    io.load_memory(path)
+                assert gc.isenabled() is collecting
+        finally:
+            gc.enable() if was else gc.disable()
 
     def test_embedding_round_trip(self, tmp_path):
         s = build_substrate(morning_graph())

@@ -29,9 +29,11 @@ from graft import (
     rank_neighbors,
     record,
     remove_node,
+    run_trial,
     sample_method,
     uniform_rows,
 )
+from graft import io
 from graft.graph import graph_from_document
 from graft.fixtures import morning_graph
 
@@ -251,6 +253,101 @@ def test_index_raises_as_jaccard_does(data):
     assert_ranks_as_jaccard(repo, query)
     entry.stale = not entry.stale
     assert_ranks_as_jaccard(repo, query)
+
+
+# -- the live column: stale flags changed between rankings ----------------------
+
+PICKS = [{"ch_a": a, "ch_b": b} for a in ("a1", "a2") for b in ("b1", "b2", "b3")]
+LEAVES = ("a1", "a2", "b1", "b2", "b3")
+
+
+def append_varied(repo, specs):
+    """Each spec is (cells, reward, picks index); the picks vary, so that
+    ``remove_node`` flags some entries and not others."""
+    for cells, reward, pick in specs:
+        record(repo, entry_for(TOY, PICKS[pick], make_fp(cells), reward))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_index_ranks_as_jaccard_as_stale_flags_change(data):
+    cells = cell_sets(UNIVERSES[1])
+    specs = st.lists(st.tuples(cells, st.sampled_from(REWARDS), st.integers(0, len(PICKS) - 1)), min_size=1, max_size=8)
+    repo = MemoryRepository(problem_tree_version="ptree", action_tree_version="atree")
+    other = MemoryRepository(problem_tree_version="ptree", action_tree_version="atree")
+    append_varied(repo, data.draw(specs))
+    append_varied(other, data.draw(specs))
+    shared = repo.entries[data.draw(st.integers(0, len(repo) - 1))]
+    record(other, shared)  # one entry object in both repositories
+    append_varied(other, data.draw(specs))
+    query = make_fp(data.draw(cells))
+    steps = st.lists(st.sampled_from(["flip", "flip-and-back", "shared", "remove_node", "append"]), max_size=6)
+    for step in ["none", *data.draw(steps)]:
+        if step in ("flip", "flip-and-back"):
+            entry = repo.entries[data.draw(st.integers(0, len(repo) - 1))]
+            entry.stale = not entry.stale
+            if step == "flip-and-back":
+                entry.stale = not entry.stale
+        elif step == "shared":
+            shared.stale = not shared.stale
+        elif step == "remove_node":
+            remove_node(TOY, uniform_rows(TOY), data.draw(st.sampled_from(LEAVES)), repo=repo)
+        elif step == "append":
+            append_varied(repo, data.draw(specs))
+        assert_ranks_as_jaccard(repo, query)
+        assert_ranks_as_jaccard(other, query)
+
+
+class IterCountingList(list):
+    """A list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_ranking_after_appends_makes_no_pass_over_the_entries(repo, action_substrate):
+    repo.entries = IterCountingList()
+    fp = make_fp({(0, 0, 1)})
+    for reward in (10.0, 20.0):
+        record(repo, entry_for(action_substrate, {"ch_a": "a1", "ch_b": "b1"}, fp, reward))
+    rank_neighbors(repo, fp, 3)
+    for reward in (30.0, 40.0):
+        record(repo, entry_for(action_substrate, {"ch_a": "a1", "ch_b": "b1"}, fp, reward))
+    repo.entries.passes = 0
+    assert [e.reward for e, _ in rank_neighbors(repo, fp, 3)] == [40.0, 30.0, 20.0]
+    assert repo.entries.passes == 0
+    repo.entries[3].stale = True  # a flag changed: the next ranking reads them all, once
+    assert [e.reward for e, _ in rank_neighbors(repo, fp, 3)] == [30.0, 20.0, 10.0]
+    assert [e.reward for e, _ in rank_neighbors(repo, fp, 3)] == [30.0, 20.0, 10.0]
+    assert repo.entries.passes == 1
+
+
+def test_equal_picks_share_their_pairs(tmp_path):
+    class Flat:  # every method scores 50
+        convergence_reward = None
+
+        def implement(self, action, state):
+            return action
+
+        def execute(self, state):
+            return {"hit": 0.5}
+
+        def score(self, observables):
+            return 50.0
+
+    repo = MemoryRepository(problem_tree_version="ptree", action_tree_version=TOY.tree_version)
+    run_trial(Flat(), TOY, repo, make_fp({(0, 0, 1)}), budget=len(PICKS), seed=5)
+    io.save_memory(repo, tmp_path / "memory.jsonl")
+    loaded = io.load_memory(tmp_path / "memory.jsonl")
+    assert len(loaded) == len(repo) == len(PICKS)
+    for made, read in zip(repo.entries, loaded.entries):
+        # fresh strings, so that equal literals cannot stand in for shared pairs
+        fresh = MethodTuple.from_picks({"".join(k): "".join(v) for k, v in made.method.items})
+        assert read.method == made.method == fresh
+        assert all(p is q is r for p, q, r in zip(made.method.items, read.method.items, fresh.items))
 
 
 class TestNeighborWeight:

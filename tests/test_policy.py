@@ -141,6 +141,13 @@ class TestChainDistributions:
         with pytest.raises(ValueError, match="unresolved"):
             edited_chain_distribution(morning_substrate, morning_rows, "helmet", {})
 
+    def test_only_dependency_parents_need_resolving(self, morning_substrate, morning_rows):
+        # style's one parent is clothes; breakfast and transport share its lower level
+        dist = edited_chain_distribution(morning_substrate, morning_rows, "style", {"clothes": "clothes"})
+        assert dist == chain_prior(morning_substrate, morning_rows, "style")
+        with pytest.raises(ValueError, match=r"^chain transport \(level 0\) unresolved below helmet$"):
+            edited_chain_distribution(morning_substrate, morning_rows, "helmet", {"clothes": "clothes"})
+
 
 class TestKernels:
     def test_top_level_chain_always_active(self, morning_substrate, morning_rows):

@@ -81,6 +81,27 @@ def test_subcommand_runs_without_numpy(argv, workspace):
     assert run_child(argv, workspace) == "numpy loaded: False"
 
 
+# graft.cli.main in a child process, then which of memory and policy got loaded
+CHILD_MODULES = """
+import sys
+from graft.cli import main
+code = main(sys.argv[1:])
+print("loaded:", *sorted({"graft.memory", "graft.policy"} & set(sys.modules)), file=sys.stderr)
+sys.exit(code)
+"""
+
+WITHOUT_MEMORY_OR_POLICY = ("validate", "reduce", "build", "embed", "fingerprint-auto", "similarity", "footprint")
+
+
+@pytest.mark.parametrize("kind", WITHOUT_MEMORY_OR_POLICY)
+def test_subcommand_runs_without_memory_or_policy(kind, workspace):
+    env = dict(os.environ, GRAFT_WORKSPACE=str(workspace))
+    argv = [sys.executable, "-c", CHILD_MODULES, "--quiet", *NUMPY_FREE[kind]]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1] == "loaded:"
+
+
 def test_sample_loads_numpy(workspace):
     # the draw runs on numpy's PCG64
     assert run_child(["sample", "sub.json", "--rows", "rows.json", "--seed", "0"], workspace) == "numpy loaded: True"
