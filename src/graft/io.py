@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
@@ -175,7 +176,10 @@ def load_rows(path: str | Path) -> PolicyRows:
     rows = {}
     for node, r in payload["rows"].items():
         _object(f"{path}: row {node!r}", r, fields=("options", "mass"), kinds=ROW_KINDS)
-        rows[node] = ProbabilityRow(options=tuple(r["options"]), mass=tuple(r["mass"]))
+        try:
+            rows[node] = ProbabilityRow(options=tuple(r["options"]), mass=tuple(r["mass"]))
+        except ValueError as exc:  # the row's own checks: lengths, each mass in [0, 1], sum 1
+            raise GraftError(f"{path}: row {node!r}: {exc}") from None
     return PolicyRows(rows=rows, tree_version=payload["tree_version"])
 
 
@@ -304,11 +308,14 @@ def load_observables(path: str | Path) -> dict[str, float]:
 
 
 def save_memory(repo: MemoryRepository, path: str | Path) -> None:
-    lines = [
-        json.dumps(_entry_payload(e, repo), sort_keys=True, separators=(",", ":"))
-        for e in repo.entries
-    ]
-    Path(path).write_text("".join(line + "\n" for line in lines))
+    """Write beside the target, then move over it: a write cut short leaves the old file whole."""
+    lines = [json.dumps(_entry_payload(e, repo), sort_keys=True, separators=(",", ":")) for e in repo.entries]
+    temporary = Path(f"{path}.{os.getpid()}.tmp")  # in the target's directory, so os.replace is atomic
+    try:
+        temporary.write_text("".join(line + "\n" for line in lines))
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def append_memory(repo: MemoryRepository, entry: MemoryEntry, path: str | Path) -> None:

@@ -27,10 +27,11 @@ from .errors import GraftError, SupportExhaustedError
 from .graph import KnowledgeGraph, graph_from_document
 from .memory import MemoryEntry, MemoryRepository, R_MAX, check_observables, compile_prior, record
 from .policy import (
+    CompiledPolicy,
     MethodTuple,
     PolicyRows,
     _draw,
-    chain_kernel,
+    compile_policy,
     method_path_nodes,
     method_probability,
     sample_method,
@@ -119,7 +120,7 @@ def advisor_edit(
     history: TrialHistory,
     last: MethodTuple,
     substrate: Substrate,
-    rows: PolicyRows,
+    rows: PolicyRows | CompiledPolicy,
     strategy: str,
     seed: int,
     avoid: set[MethodTuple] | frozenset[MethodTuple] = frozenset(),
@@ -143,19 +144,21 @@ def advisor_edit(
         raise ValueError("advisor needs a non-empty trial history")
 
     picks = last.picks
+    attempts = [(r.method.picks, r.reward) for r in history.records]
     shared = {
-        cid: tuple(r.reward for r in history.records if r.method.picks.get(cid) == picks[cid])
+        cid: tuple(reward for other, reward in attempts if other.get(cid) == picks[cid])
         for cid in _editable_chains(substrate, last)
     }
     if not shared:
         return None
 
+    policy = compile_policy(substrate, rows)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = strategy_fn(shared, rng)
     tried = history.methods()
 
     for cid in order:
-        kernel = chain_kernel(substrate, rows, cid, picks)
+        kernel = policy.kernel(cid, picks)
         candidates = [v for v, w in kernel.items() if v is not None and w > 0.0 and v != picks[cid]]
         weights = [kernel[v] for v in candidates]
         while candidates:
@@ -166,7 +169,7 @@ def advisor_edit(
             edited = last.with_value(cid, v)
             if edited in avoid or edited in tried:
                 continue
-            if method_probability(substrate, rows, edited) > 0.0:
+            if method_probability(substrate, policy, edited) > 0.0:
                 return edited
     return None
 
@@ -182,11 +185,11 @@ def run_trial(
     strategy: str = "worst-chain",
     on_iteration=None,
 ) -> TrialResult:
-    """One closed-loop trial: prior compiled once, sampled level by level,
-    every attempt committed to both the history and the repository."""
+    """One closed-loop trial: prior and kernel table compiled once, sampled
+    level by level, every attempt committed to the history and the repository."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    rows = compile_prior(repo, p_new, substrate)
+    policy = compile_policy(substrate, compile_prior(repo, p_new, substrate))
     history = TrialHistory()
     state = None
     exhausted = False
@@ -199,14 +202,14 @@ def run_trial(
                 history,
                 history.records[-1].method,
                 substrate,
-                rows,
+                policy,
                 strategy,
                 _iteration_seed(seed, n, stream=1),
                 avoid=tried,
             )
         if m is None:
             try:
-                m = sample_method(substrate, rows, _iteration_seed(seed, n, stream=0), avoid=tried)
+                m = sample_method(substrate, policy, _iteration_seed(seed, n, stream=0), avoid=tried)
             except SupportExhaustedError:
                 exhausted = True
                 break

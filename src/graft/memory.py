@@ -23,10 +23,8 @@ from .policy import (
     MethodTuple,
     PolicyRows,
     ProbabilityRow,
-    internal_s_nodes,
     op_force,
     op_zero,
-    uniform_row,
     uniform_rows,
 )
 from .reduction import FactoredTree
@@ -271,13 +269,6 @@ def neighbor_weight(similarity: float, reward: float) -> float:
     return gate * (reward / R_MAX)
 
 
-def _chosen_child(tree: FactoredTree, node: str, path: frozenset[str]) -> str | None:
-    hits = [c for c in tree.s_children(node) if c in path]
-    if len(hits) > 1:
-        raise StalePathError(f"method path picks multiple children of {node}")
-    return hits[0] if hits else None
-
-
 def _check_path_current(entry: MemoryEntry, tree: FactoredTree) -> None:
     missing = [n for n in entry.method_path_nodes if n not in tree.depth]
     if missing:
@@ -286,24 +277,23 @@ def _check_path_current(entry: MemoryEntry, tree: FactoredTree) -> None:
 
 def _vote(entry: MemoryEntry, tree: FactoredTree, node: str) -> str | None:
     """The child this entry's path picks at ``node``, or None off-path."""
-    if node not in entry.method_path_nodes:
-        return None
-    return _chosen_child(tree, node, entry.method_path_nodes)
+    path = entry.method_path_nodes
+    hits = [c for c in tree.s_children(node) if c in path] if node in path else ()
+    if len(hits) > 1:
+        raise StalePathError(f"method path picks multiple children of {node}")
+    return hits[0] if hits else None
 
 
 def partial_spec(entry: MemoryEntry, tree: FactoredTree) -> dict[str, ProbabilityRow]:
     """One neighbour's row votes: one-hot along its path, uniform elsewhere."""
     _check_path_current(entry, tree)
     spec: dict[str, ProbabilityRow] = {}
-    for node in sorted(n for n in tree.depth if tree.s_children(n)):
+    for node, uniform in tree.uniform_rows.items():
         chosen = _vote(entry, tree, node)
         if chosen is None:
-            spec[node] = uniform_row(tree, node)
+            spec[node] = uniform
         else:
-            kids = tree.s_children(node)
-            spec[node] = ProbabilityRow(
-                options=kids, mass=tuple(1.0 if c == chosen else 0.0 for c in kids)
-            )
+            spec[node] = ProbabilityRow(uniform.options, tuple(1.0 if c == chosen else 0.0 for c in uniform.options))
     return spec
 
 
@@ -338,8 +328,7 @@ def compile_prior(
         for entry, _ in neighbors:
             _check_path_current(entry, tree)
         rows = {}
-        for node in internal_s_nodes(substrate):
-            mu = base.rows[node]
+        for node, mu in base.rows.items():
             votes = [_vote(e, tree, node) for e, _ in neighbors]
             if all(v is None for v in votes):
                 rows[node] = mu  # the average collapses to the uniform row, bitwise
@@ -367,46 +356,31 @@ def _apply_certain_rules(substrate: Substrate, rows: dict[str, ProbabilityRow]) 
         if not rule.certain:
             continue
         op = op_zero if rule.effect == "zero_out" else op_force
-        chain = substrate.chains.chains[rule.target_chain]
-        for node in chain.members:
+        for node in substrate.chains.chains[rule.target_chain].members:
             kids = substrate.tree.s_children(node)
             if not kids or node not in rows:
                 continue
-            allowed = {
-                kid
-                for kid in kids
-                if any(substrate.tree.is_ancestor_or_self(kid, a) for a in rule.target_slice)
-            }
-            if rule.effect == "force":
-                if allowed and allowed != set(kids):
-                    rows[node] = op(rows[node], allowed, rule_hint=rule.hint)
-            else:
-                drop = {
-                    kid
-                    for kid in kids
-                    if substrate.members_below(kid, rule.target_chain) <= rule.target_slice
-                }
-                # a fully-covered interior node is unreachable once its own
-                # parent row drops it; leave such rows alone
-                if drop and drop != set(kids):
-                    rows[node] = op(rows[node], drop, rule_hint=rule.hint)
+            if rule.effect == "force":  # the kids to keep
+                edit = {k for k in kids if any(substrate.tree.is_ancestor_or_self(k, a) for a in rule.target_slice)}
+            else:  # the kids to drop; a fully-covered interior node is unreachable once
+                # its own parent row drops it, so such rows are left alone
+                edit = {k for k in kids if substrate.members_below(k, rule.target_chain) <= rule.target_slice}
+            if edit and edit != set(kids):
+                rows[node] = op(rows[node], edit, rule_hint=rule.hint)
 
 
 def _inherit_rows(new_sub: Substrate, rows: PolicyRows, parent: str, reshape) -> PolicyRows:
     """Rows for a rebuilt substrate: a row whose options did not change is
     kept, ``parent``'s old row goes through ``reshape``, and every other row
     starts uniform."""
-    new_rows: dict[str, ProbabilityRow] = {}
-    for node in internal_s_nodes(new_sub):
-        kids = new_sub.tree.s_children(node)
+    new_rows = uniform_rows(new_sub)
+    for node, uniform in new_rows.rows.items():
         old = rows.rows.get(node)
-        if old is not None and old.options == kids:
-            new_rows[node] = old
+        if old is not None and old.options == uniform.options:
+            new_rows.rows[node] = old
         elif old is not None and node == parent:
-            new_rows[node] = reshape(old, kids)
-        else:
-            new_rows[node] = uniform_row(new_sub.tree, node)
-    return PolicyRows(rows=new_rows, tree_version=new_sub.tree_version)
+            new_rows.rows[node] = reshape(old, uniform.options)
+    return new_rows
 
 
 def grow_tree(

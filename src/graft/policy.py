@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-from .build import Substrate
+from .build import CompiledRule, Substrate
 from .errors import EnumerationCapError, RuleSupportError, SupportExhaustedError, VersionMismatchError
-from .reduction import FactoredTree
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,8 +42,8 @@ class ProbabilityRow:
     def __post_init__(self):
         if len(self.options) != len(self.mass):
             raise ValueError("options and mass differ in length")
-        if any(m < 0.0 for m in self.mass):
-            raise ValueError("negative probability mass")
+        if not all(0.0 <= m <= 1.0 + MASS_TOLERANCE for m in self.mass):  # NaN fails both comparisons
+            raise ValueError("probability mass outside [0, 1]")
         if abs(sum(self.mass) - 1.0) > MASS_TOLERANCE:
             raise ValueError(f"mass sums to {sum(self.mass)!r}, not 1")
 
@@ -91,17 +90,11 @@ class MethodTuple:
 
 
 def internal_s_nodes(substrate: Substrate) -> tuple[str, ...]:
-    return tuple(sorted(n for n in substrate.tree.nodes if substrate.tree.s_children(n)))
-
-
-def uniform_row(tree: FactoredTree, node: str) -> ProbabilityRow:
-    kids = tree.s_children(node)
-    return ProbabilityRow(options=kids, mass=tuple(1.0 / len(kids) for _ in kids))
+    return substrate.tree.internal_s_nodes
 
 
 def uniform_rows(substrate: Substrate) -> PolicyRows:
-    rows = {n: uniform_row(substrate.tree, n) for n in internal_s_nodes(substrate)}
-    return PolicyRows(rows=rows, tree_version=substrate.tree_version)
+    return PolicyRows(rows=dict(substrate.tree.uniform_rows), tree_version=substrate.tree_version)
 
 
 def _renormalize(row: ProbabilityRow, keep: frozenset[str], offender, hint=None) -> ProbabilityRow:
@@ -146,11 +139,15 @@ def chain_prior(substrate: Substrate, rows: PolicyRows, chain_id: str) -> Probab
     chain = substrate.chains.chains[chain_id]
     if not chain.is_decision:
         raise ValueError(f"chain {chain_id} carries no decision")
+    s_children = substrate.tree.s_children_table
+    row = rows.rows[chain.root]
+    if row.options == chain.alphabet == s_children[chain.root]:
+        return row  # one level deep, so each path product is 1.0 times the root row's mass
     probs: dict[str, float] = {}
     stack = [(chain.root, 1.0)]
     while stack:
         node, acc = stack.pop()
-        kids = substrate.tree.s_children(node)
+        kids = s_children.get(node)
         if not kids:
             probs[node] = acc
             continue
@@ -166,39 +163,76 @@ def _check_lower_levels_resolved(substrate: Substrate, chain_id: str, resolved) 
             raise ValueError(f"chain {cid} (level {substrate.levels[cid]}) unresolved below {chain_id}")
 
 
+@dataclass(frozen=True)
+class CompiledPolicy:
+    """The kernel table of one (substrate, rows) pair, from ``compile_policy``:
+    a snapshot of the rows, which later edits to them do not reach.  Readers
+    go in ``chain_order``, so a chain's parents are resolved before it."""
+
+    substrate: Substrate
+    priors: dict[str, ProbabilityRow]  # decision chain -> its prior over its alphabet
+    rules: dict[str, tuple[CompiledRule, ...]]  # target chain -> its eligible rules, in rule-list order
+    gate: dict[str, tuple[str, str]]
+    chain_order: tuple[str, ...]
+    kernels: dict[str, dict[Optional[str], float]]  # chain -> its kernel when active and no rule fires
+
+    def edited(self, chain_id: str, resolved: Mapping[str, Optional[str]]) -> ProbabilityRow:
+        dist = self.priors[chain_id]
+        for rule in self.rules.get(chain_id, ()):
+            if rule.fired_by(resolved):
+                dist = _OPERATORS[rule.effect](dist, rule.target_slice, rule_hint=rule.hint)
+        return dist
+
+    def kernel(self, chain_id: str, resolved: Mapping[str, Optional[str]]) -> dict[Optional[str], float]:
+        """Kernel over the augmented alphabet; a value it leaves out has mass 0
+        (a shut gate's kernel holds the inactive marker alone).  Read it only."""
+        gate = self.gate.get(chain_id)
+        if gate is not None and resolved.get(gate[0]) != gate[1]:
+            return {INACTIVE: 1.0}
+        dist = self.edited(chain_id, resolved) if chain_id in self.rules else None
+        if dist is None or dist is self.priors[chain_id]:  # no rule fired, or none changed the prior
+            return self.kernels[chain_id]
+        return {**dict(zip(dist.options, dist.mass)), INACTIVE: 0.0}
+
+
+def compile_policy(substrate: Substrate, rows: PolicyRows | CompiledPolicy) -> CompiledPolicy:
+    """The kernel table of ``rows``; a table passed as ``rows`` is returned as it is."""
+    if isinstance(rows, CompiledPolicy):
+        if rows.substrate is not substrate:
+            raise ValueError("policy table compiled for another substrate")
+        return rows
+    if rows.tree_version != substrate.tree_version:
+        message = f"rows built for tree {rows.tree_version}, substrate carries {substrate.tree_version}"
+        raise VersionMismatchError(message)
+    priors = {cid: chain_prior(substrate, rows, cid) for cid in substrate.decision_chain_ids}
+    kernels = {cid: {**dict(zip(p.options, p.mass)), INACTIVE: 0.0} for cid, p in priors.items()}
+    kernels.update((cid, {cid: 1.0, INACTIVE: 0.0}) for cid in substrate.chain_order if cid not in priors)
+    rules: dict[str, tuple[CompiledRule, ...]] = {}
+    for rule in substrate.rules:
+        if rule.eligible:
+            rules[rule.target_chain] = rules.get(rule.target_chain, ()) + (rule,)
+    return CompiledPolicy(substrate, priors, rules, substrate.gate, substrate.chain_order, kernels)
+
+
 def edited_chain_distribution(
     substrate: Substrate, rows: PolicyRows, chain_id: str, resolved: Mapping[str, Optional[str]]
 ) -> ProbabilityRow:
-    """The chain prior after composing every rule whose trigger is met.
-
-    Application order is rule-list order; composition commutes on the valid
-    region so the order is immaterial.
-    """
+    """The chain prior after composing every rule whose trigger is met: a
+    view over ``compile_policy(substrate, rows)``."""
     _check_lower_levels_resolved(substrate, chain_id, resolved)
-    dist = chain_prior(substrate, rows, chain_id)
-    for rule in substrate.rules:
-        if rule.target_chain == chain_id and rule.fired_by(resolved):
-            dist = _OPERATORS[rule.effect](dist, rule.target_slice, rule_hint=rule.hint)
-    return dist
+    if not substrate.chains.chains[chain_id].is_decision:
+        raise ValueError(f"chain {chain_id} carries no decision")
+    return compile_policy(substrate, rows).edited(chain_id, resolved)
 
 
 def chain_kernel(
     substrate: Substrate, rows: PolicyRows, chain_id: str, resolved: Mapping[str, Optional[str]]
 ) -> dict[Optional[str], float]:
-    """Kernel over the augmented alphabet: values plus the inactive marker."""
-    gate = substrate.gate.get(chain_id)
-    if gate is not None and resolved.get(gate[0]) != gate[1]:
-        kernel: dict[Optional[str], float] = {v: 0.0 for v in substrate.chain_value_domain(chain_id)}
-        kernel[INACTIVE] = 1.0
-        return kernel
-    chain = substrate.chains.chains[chain_id]
-    if chain.is_decision:
-        dist = edited_chain_distribution(substrate, rows, chain_id, resolved)
-        kernel = dict(zip(dist.options, dist.mass))
-    else:
-        kernel = {chain.root: 1.0}
-    kernel[INACTIVE] = 0.0
-    return kernel
+    """Kernel over the augmented alphabet: every value of the chain's domain, then the
+    inactive marker.  A fresh view over ``compile_policy(substrate, rows).kernel``."""
+    _check_lower_levels_resolved(substrate, chain_id, resolved)
+    kernel = compile_policy(substrate, rows).kernel(chain_id, resolved)
+    return {**dict.fromkeys(substrate.chain_value_domain(chain_id), 0.0), **kernel}
 
 
 def validate_tuple(substrate: Substrate, m: MethodTuple) -> None:
@@ -214,15 +248,14 @@ def validate_tuple(substrate: Substrate, m: MethodTuple) -> None:
             raise ValueError(f"value {value!r} is not in the domain of chain {cid}")
 
 
-def method_probability(substrate: Substrate, rows: PolicyRows, m: MethodTuple) -> float:
+def method_probability(substrate: Substrate, rows: PolicyRows | CompiledPolicy, m: MethodTuple) -> float:
     """Product of chain kernels in level order; 0 for inadmissible tuples."""
-    _check_rows_version(substrate, rows)
+    policy = compile_policy(substrate, rows)
     validate_tuple(substrate, m)
     picks = m.picks
     prob = 1.0
-    for cid in substrate.chain_order:
-        kernel = chain_kernel(substrate, rows, cid, picks)
-        factor = kernel[picks[cid]]
+    for cid in policy.chain_order:
+        factor = policy.kernel(cid, picks).get(picks[cid], 0.0)
         if factor == 0.0:
             return 0.0
         prob *= factor
@@ -232,33 +265,27 @@ def method_probability(substrate: Substrate, rows: PolicyRows, m: MethodTuple) -
 def method_path_nodes(substrate: Substrate, m: MethodTuple) -> frozenset[str]:
     """Union of root-to-value paths over the tuple's active chains."""
     nodes: set[str] = set()
-    for cid, value in m.items:
-        if value is None:
-            continue
-        nodes.update(substrate.tree.path_from_root(value))
+    tree = substrate.tree
+    for _, node in m.items:
+        while node is not None and node not in nodes:  # up to the root, or to a path already taken
+            nodes.add(node)
+            node = tree.parent[node] if node != tree.root else None
     return frozenset(nodes)
 
 
-def _check_rows_version(substrate: Substrate, rows: PolicyRows) -> None:
-    if rows.tree_version != substrate.tree_version:
-        raise VersionMismatchError(
-            f"rows built for tree {rows.tree_version}, substrate carries {substrate.tree_version}"
-        )
-
-
 def enumerate_support(
-    substrate: Substrate, rows: PolicyRows, cap: int = 10**6
+    substrate: Substrate, rows: PolicyRows | CompiledPolicy, cap: int = 10**6
 ) -> list[tuple[MethodTuple, float]]:
     """All structurally admissible tuples with exact kernel-product mass.
 
     Tuples zeroed by a fired rule are listed with probability 0; the
     activity-inconsistent remainder of the Cartesian product is not.
     """
-    _check_rows_version(substrate, rows)
+    policy = compile_policy(substrate, rows)
     if substrate.joint_size > cap:
         raise EnumerationCapError(f"joint size {substrate.joint_size} exceeds cap {cap}")
 
-    order = substrate.chain_order
+    order = policy.chain_order
     out: list[tuple[MethodTuple, float]] = []
     resolved: dict[str, Optional[str]] = {}  # picks of order[:depth], in order
     stack: list[tuple[int, Optional[str], float]] = []  # (depth, value, mass with it)
@@ -267,7 +294,7 @@ def enumerate_support(
         if depth == len(order):
             out.append((MethodTuple.from_picks(resolved), acc))
             return
-        kernel = chain_kernel(substrate, rows, order[depth], resolved)
+        kernel = policy.kernel(order[depth], resolved)
         inactive = kernel[INACTIVE] > 0.0  # then it is the only value to take
         branches = [(depth, v, acc * w) for v, w in kernel.items() if (v is INACTIVE) == inactive]
         stack.extend(reversed(branches))
@@ -294,21 +321,18 @@ def _draw(rng: np.random.Generator, options: list[Optional[str]], weights: list[
     return options[-1]
 
 
-def _sample_once(substrate: Substrate, rows: PolicyRows, rng: np.random.Generator) -> MethodTuple:
+def _sample_once(policy: CompiledPolicy, rng: np.random.Generator) -> MethodTuple:
     resolved: dict[str, Optional[str]] = {}
-    for cid in substrate.chain_order:
-        kernel = chain_kernel(substrate, rows, cid, resolved)
-        positive = [(v, w) for v, w in kernel.items() if w > 0.0]
-        if len(positive) == 1:
-            resolved[cid] = positive[0][0]
-        else:
-            resolved[cid] = _draw(rng, [v for v, _ in positive], [w for _, w in positive])
+    for cid in policy.chain_order:
+        kernel = policy.kernel(cid, resolved)
+        values = [v for v, w in kernel.items() if w > 0.0]
+        resolved[cid] = values[0] if len(values) == 1 else _draw(rng, values, [kernel[v] for v in values])
     return MethodTuple.from_picks(resolved)
 
 
 def sample_method(
     substrate: Substrate,
-    rows: PolicyRows,
+    rows: PolicyRows | CompiledPolicy,
     seed: int,
     avoid: frozenset[MethodTuple] | set[MethodTuple] = frozenset(),
 ) -> MethodTuple:
@@ -320,13 +344,13 @@ def sample_method(
     """
     import numpy as np
 
-    _check_rows_version(substrate, rows)
+    policy = compile_policy(substrate, rows)
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(MAX_RETRIES if avoid else 1):
-        m = _sample_once(substrate, rows, rng)
+        m = _sample_once(policy, rng)
         if m not in avoid:
             return m
-    remaining = [(m, p) for m, p in enumerate_support(substrate, rows) if p > 0.0 and m not in avoid]
+    remaining = [(m, p) for m, p in enumerate_support(substrate, policy) if p > 0.0 and m not in avoid]
     if not remaining:
         raise SupportExhaustedError("avoid set covers the whole positive support")
     return _draw(rng, [m for m, _ in remaining], [p for _, p in remaining])

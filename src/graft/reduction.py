@@ -56,8 +56,28 @@ class FactoredTree:
                 return False
             node = self.parent[node]
 
+    @cached_property
+    def s_children_table(self) -> dict[str, tuple[str, ...]]:
+        """node -> its s-children, for every node that has some, in node order."""
+        s = EdgeType.SUBDIVIDES_IN
+        pick_one = {n: tuple(c for c in cs if self.edge_type[c] is s) for n, cs in sorted(self.children.items())}
+        return {n: kids for n, kids in pick_one.items() if kids}
+
+    @cached_property
+    def internal_s_nodes(self) -> tuple[str, ...]:
+        """The nodes with s-children, sorted: one policy row each."""
+        return tuple(self.s_children_table)
+
+    @cached_property
+    def uniform_rows(self) -> dict:
+        """internal s-node -> its uniform ``ProbabilityRow``; copy the dict before editing it."""
+        from .policy import ProbabilityRow
+
+        table = self.s_children_table
+        return {n: ProbabilityRow(kids, tuple(1.0 / len(kids) for _ in kids)) for n, kids in table.items()}
+
     def s_children(self, node: str) -> tuple[str, ...]:
-        return tuple(c for c in self.children.get(node, ()) if self.edge_type[c] is EdgeType.SUBDIVIDES_IN)
+        return self.s_children_table.get(node, ())
 
     def c_children(self, node: str) -> tuple[str, ...]:
         return tuple(c for c in self.children.get(node, ()) if self.edge_type[c] is EdgeType.CHARACTERIZED_BY)

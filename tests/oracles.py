@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from typing import Mapping, Optional
 
 import numpy as np
 
 from graft import KnowledgeGraph, MethodTuple, Substrate, build_substrate, graph_from_document, jaccard
 from graft.embedding import K_MAX, Embedding
 from graft.errors import ResolutionSearchError
+from graft.errors import SupportExhaustedError
+from graft.loop import ADVISOR_STRATEGIES, _editable_chains
 from graft.memory import MemoryEntry, MemoryRepository
-from graft.policy import PolicyRows
+from graft.policy import _OPERATORS, INACTIVE, MAX_RETRIES, PolicyRows, ProbabilityRow, _draw, validate_tuple
 
 
 # -- neighbour ranking, entry by entry ------------------------------------------
@@ -197,6 +200,171 @@ def oracle_joint(substrate: Substrate, rows: PolicyRows) -> dict[MethodTuple, fl
             prob *= dist[value]
         out[MethodTuple.from_picks(picks)] = prob
     return out
+
+
+# -- the per-call kernel path, as it was before the compiled table ---------------
+#
+# Each kernel walks the chain's rows again and scans every rule; the draw, the
+# probability, the enumeration and the advisor call it once per chain.  The
+# compiled table must agree with these bit for bit.
+
+
+def per_call_chain_prior(substrate: Substrate, rows: PolicyRows, chain_id: str) -> ProbabilityRow:
+    """Path product of the rows along a decision chain's interior s-nodes."""
+    chain = substrate.chains.chains[chain_id]
+    if not chain.is_decision:
+        raise ValueError(f"chain {chain_id} carries no decision")
+    probs: dict[str, float] = {}
+    stack = [(chain.root, 1.0)]
+    while stack:
+        node, acc = stack.pop()
+        kids = substrate.tree.s_children(node)
+        if not kids:
+            probs[node] = acc
+            continue
+        row = rows.rows[node]
+        stack.extend((child, acc * row.probability_of(child)) for child in kids)
+    return ProbabilityRow(options=chain.alphabet, mass=tuple(probs[a] for a in chain.alphabet))
+
+
+def _check_lower_levels_resolved(substrate: Substrate, chain_id: str, resolved) -> None:
+    # a chain's kernel reads only its dependency-graph parents: the gate and the rule triggers
+    for cid in substrate.chain_parents[chain_id]:
+        if cid not in resolved:
+            raise ValueError(f"chain {cid} (level {substrate.levels[cid]}) unresolved below {chain_id}")
+
+
+def per_call_edited_chain_distribution(
+    substrate: Substrate, rows: PolicyRows, chain_id: str, resolved: Mapping[str, Optional[str]]
+) -> ProbabilityRow:
+    """The chain prior after composing every rule whose trigger is met.
+
+    Application order is rule-list order; composition commutes on the valid
+    region so the order is immaterial.
+    """
+    _check_lower_levels_resolved(substrate, chain_id, resolved)
+    dist = per_call_chain_prior(substrate, rows, chain_id)
+    for rule in substrate.rules:
+        if rule.target_chain == chain_id and rule.fired_by(resolved):
+            dist = _OPERATORS[rule.effect](dist, rule.target_slice, rule_hint=rule.hint)
+    return dist
+
+
+def per_call_chain_kernel(
+    substrate: Substrate, rows: PolicyRows, chain_id: str, resolved: Mapping[str, Optional[str]]
+) -> dict[Optional[str], float]:
+    """Kernel over the augmented alphabet: values plus the inactive marker."""
+    gate = substrate.gate.get(chain_id)
+    if gate is not None and resolved.get(gate[0]) != gate[1]:
+        kernel: dict[Optional[str], float] = {v: 0.0 for v in substrate.chain_value_domain(chain_id)}
+        kernel[INACTIVE] = 1.0
+        return kernel
+    chain = substrate.chains.chains[chain_id]
+    if chain.is_decision:
+        dist = per_call_edited_chain_distribution(substrate, rows, chain_id, resolved)
+        kernel = dict(zip(dist.options, dist.mass))
+    else:
+        kernel = {chain.root: 1.0}
+    kernel[INACTIVE] = 0.0
+    return kernel
+
+
+def per_call_method_probability(substrate: Substrate, rows: PolicyRows, m: MethodTuple) -> float:
+    """Product of chain kernels in level order; 0 for inadmissible tuples."""
+    validate_tuple(substrate, m)
+    picks = m.picks
+    prob = 1.0
+    for cid in substrate.chain_order:
+        kernel = per_call_chain_kernel(substrate, rows, cid, picks)
+        factor = kernel[picks[cid]]
+        if factor == 0.0:
+            return 0.0
+        prob *= factor
+    return prob
+
+
+def per_call_enumerate_support(substrate: Substrate, rows: PolicyRows) -> list[tuple[MethodTuple, float]]:
+    """All structurally admissible tuples with exact kernel-product mass."""
+    order = substrate.chain_order
+    out: list[tuple[MethodTuple, float]] = []
+    resolved: dict[str, Optional[str]] = {}  # picks of order[:depth], in order
+    stack: list[tuple[int, Optional[str], float]] = []  # (depth, value, mass with it)
+
+    def expand(depth: int, acc: float) -> None:
+        if depth == len(order):
+            out.append((MethodTuple.from_picks(resolved), acc))
+            return
+        kernel = per_call_chain_kernel(substrate, rows, order[depth], resolved)
+        inactive = kernel[INACTIVE] > 0.0  # then it is the only value to take
+        branches = [(depth, v, acc * w) for v, w in kernel.items() if (v is INACTIVE) == inactive]
+        stack.extend(reversed(branches))
+
+    expand(0, 1.0)
+    while stack:
+        depth, value, acc = stack.pop()
+        while len(resolved) > depth:
+            resolved.popitem()
+        resolved[order[depth]] = value
+        expand(depth + 1, acc)
+    return out
+
+
+def _per_call_sample_once(substrate: Substrate, rows: PolicyRows, rng: np.random.Generator) -> MethodTuple:
+    resolved: dict[str, Optional[str]] = {}
+    for cid in substrate.chain_order:
+        kernel = per_call_chain_kernel(substrate, rows, cid, resolved)
+        positive = [(v, w) for v, w in kernel.items() if w > 0.0]
+        if len(positive) == 1:
+            resolved[cid] = positive[0][0]
+        else:
+            resolved[cid] = _draw(rng, [v for v, _ in positive], [w for _, w in positive])
+    return MethodTuple.from_picks(resolved)
+
+
+def per_call_sample_method(substrate: Substrate, rows: PolicyRows, seed: int, avoid=frozenset()) -> MethodTuple:
+    """Level-by-level draw (PCG64), rejection-resampling against ``avoid``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(MAX_RETRIES if avoid else 1):
+        m = _per_call_sample_once(substrate, rows, rng)
+        if m not in avoid:
+            return m
+    remaining = [(m, p) for m, p in per_call_enumerate_support(substrate, rows) if p > 0.0 and m not in avoid]
+    if not remaining:
+        raise SupportExhaustedError("avoid set covers the whole positive support")
+    return _draw(rng, [m for m, _ in remaining], [p for _, p in remaining])
+
+
+def per_call_advisor_edit(history, last: MethodTuple, substrate: Substrate, rows: PolicyRows, strategy: str, seed: int,
+                          avoid=frozenset()) -> Optional[MethodTuple]:
+    """Propose a tuple differing from ``last`` on exactly one chain."""
+    strategy_fn = ADVISOR_STRATEGIES[strategy]
+    picks = last.picks
+    shared = {
+        cid: tuple(r.reward for r in history.records if r.method.picks.get(cid) == picks[cid])
+        for cid in _editable_chains(substrate, last)
+    }
+    if not shared:
+        return None
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    order = strategy_fn(shared, rng)
+    tried = history.methods()
+
+    for cid in order:
+        kernel = per_call_chain_kernel(substrate, rows, cid, picks)
+        candidates = [v for v, w in kernel.items() if v is not None and w > 0.0 and v != picks[cid]]
+        weights = [kernel[v] for v in candidates]
+        while candidates:
+            # weighted draw without replacement from the edited kernel
+            idx = _draw(rng, list(range(len(candidates))), weights)
+            v = candidates.pop(idx)
+            weights.pop(idx)
+            edited = last.with_value(cid, v)
+            if edited in avoid or edited in tried:
+                continue
+            if per_call_method_probability(substrate, rows, edited) > 0.0:
+                return edited
+    return None
 
 
 # -- random instances ----------------------------------------------------------

@@ -332,3 +332,51 @@ def test_bad_rewards_and_observables_name_their_file(case, tmp_path):
     assert_one_error_line(out)
     assert needle in out.stderr
     assert not (tmp_path / "memory.jsonl").exists()  # record wrote nothing
+
+
+@pytest.mark.parametrize("mass", ["[NaN, NaN]", "[-0.5, 1.5]", "[Infinity, 0.5]"], ids=["nan", "negative", "infinity"])
+def test_a_row_mass_outside_the_unit_interval_names_its_file_and_row(mass, tmp_path):
+    s = build_substrate(graph_from_document(morning_graph_document()))
+    io.save_substrate(s, tmp_path / "s.json")
+    io.save_rows(uniform_rows(s), tmp_path / "rows.json")
+    payload = json.loads((tmp_path / "rows.json").read_text())
+    payload["rows"]["breakfast"]["mass"] = "MASS"
+    (tmp_path / "bad_rows.json").write_text(json.dumps(payload).replace('"MASS"', mass))  # json reads NaN and Infinity
+    for argv in (["sample", "s.json", "--seed", "3"], ["prob", "s.json", "--method", "m.json"]):
+        io.save_method(sample_method(s, uniform_rows(s), seed=0), tmp_path / "m.json")
+        out = run_cli(*argv, "--rows", "bad_rows.json", cwd=tmp_path)
+        assert_one_error_line(out)
+        assert "bad_rows.json: row 'breakfast': probability mass outside [0, 1]" in out.stderr
+
+
+def test_save_memory_cut_short_leaves_the_old_file_whole(tmp_path, monkeypatch):
+    from pathlib import Path
+
+    from graft import make_synthetic_env, run_trial
+    from graft.loop import SyntheticEnvSpec
+    from graft.memory import MemoryRepository
+
+    env = make_synthetic_env(SyntheticEnvSpec(problem_count=2, mutation_rate=0.3, noise_level=0.5), seed=2)
+    repo = MemoryRepository(env.problem_substrate.tree_version, env.action_substrate.tree_version)
+    run_trial(env.bind(0), env.action_substrate, repo, env.problems[0].fingerprint, budget=3, seed=0)
+    path = tmp_path / "memory.jsonl"
+    io.save_memory(repo, path)
+    before = path.read_bytes()
+
+    run_trial(env.bind(1), env.action_substrate, repo, env.problems[1].fingerprint, budget=3, seed=1)
+    write_text = Path.write_text
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="no space left"):
+        io.save_memory(repo, path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert len(io.load_memory(path).entries) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.jsonl"]  # no temporary file left behind
+    io.save_memory(repo, path)
+    assert len(io.load_memory(path).entries) == 6
