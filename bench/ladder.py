@@ -1,20 +1,28 @@
-"""Scale ladder for graft's substrate and policy layers.
+"""Scale ladder for graft's substrate, policy and memory layers.
 
-    python3 bench/ladder.py                          # this checkout, into BENCH_8.json
-    python3 bench/ladder.py --before ../parent       # and a second checkout, in alternating rounds
-    python3 bench/ladder.py --smoke                  # small rungs, one round, well under 10 s
+    python3 bench/ladder.py --out BENCH.json                     # this checkout
+    python3 bench/ladder.py --before ../parent --out BENCH.json  # and a second checkout, in alternating rounds
+    python3 bench/ladder.py --smoke                              # small rungs, one round, well under 10 s
 
-A rung is a substrate: C flat chains of 4 options each (C = 50, 200 and
-1000), or the morning fixture.  On each rung the ladder times
-``build_substrate`` (from a parsed graph), ``layout``, ``sample_method`` and
+A substrate rung is C flat chains of 4 options each (C = 50, 200 and 1000),
+or the morning fixture.  On each one the ladder times ``build_substrate``
+(from a parsed graph), ``layout``, ``sample_method`` and
 ``method_probability``, the last two with uniform rows passed as plain
-``PolicyRows``.  Each round runs in a fresh child process that imports graft
-from the checkout's ``src/``, makes one warm-up call of every operation, then
-times its repeats and keeps their median.  Rounds alternate between the
+``PolicyRows``.  A memory rung ``memN`` holds N entries (N = 10^3, 10^4 and
+10^5) in warm-start-style blocks: ten entries share one problem fingerprint,
+drawn from a pool of 64 problems on a 12-chain tree, so that a query that
+re-arrives ties with every entry of its problem.  On each one the ladder
+times ``rank_neighbors`` for n = 3 with such a query.  ``mem10000-stale``
+is the 10^4 rung with the query's top-ranked tenth flagged stale.
+
+Each round runs in a fresh child process that imports graft from the
+checkout's ``src/``, makes one warm-up call of every operation, then times
+its repeats and keeps their median.  Rounds alternate between the
 checkouts and rotate the order of the rungs, so slow drift of the machine
 falls on both sides alike.  The report gives, per checkout, operation and
 rung, the median and the quartiles over rounds, and the log-log slope of the
-median between successive flat rungs: a slope of 1 is linear growth.
+median between successive rungs of one kind: a slope of 1 is linear growth.
+Without ``--out`` the report is only printed.
 """
 
 from __future__ import annotations
@@ -32,9 +40,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FLAT = (50, 200, 1000)
-OPERATIONS = ("build_substrate", "layout", "sample_method", "method_probability")
-# timed repeats per round: about 2,000 chain-draws' worth, at least 5
-REPEATS = {"morning": 400, 50: 40, 200: 10, 1000: 5}
+MEMORY = (1000, 10_000, 100_000)
+STALE = "mem10000-stale"
+OPERATIONS = ("build_substrate", "layout", "sample_method", "method_probability", "rank_neighbors")
+# timed repeats per round: about 2,000 chain-draws' worth, at least 5, on a substrate rung
+REPEATS = {"morning": 400, "50": 40, "200": 10, "1000": 5}
+REPEATS.update({"mem1000": 400, "mem10000": 100, "mem100000": 20, STALE: 100})
+PROBLEMS, TRIAL = 64, 10  # the memory rungs' problem pool and entries per shared fingerprint
 
 
 def flat_document(chains: int, options: int = 4) -> dict:
@@ -47,6 +59,33 @@ def flat_document(chains: int, options: int = 4) -> dict:
             nodes.append(f"{head}_o{j}")
             edges.append({"parent": head, "child": f"{head}_o{j}", "type": "s"})
     return {"root": "root", "nodes": nodes, "edges": edges}
+
+
+def _size(rung: str) -> int | None:
+    """The scale of a rung that grows along its kind's ladder, else None."""
+    size = rung.removeprefix("mem")
+    return int(size) if size.isdigit() else None
+
+
+def memory_rung(graft, rung: str):
+    """(repository, query) for a memory rung; rewards and problems are seeded."""
+    import random
+
+    rng = random.Random(0)
+    s = graft.build_substrate(graft.graph_from_document(flat_document(12, 3)))
+    e = graft.layout(s.tree)
+    k = graft.min_injective_k(e)
+    draws = [graft.sample_method(s, graft.uniform_rows(s), seed) for seed in range(PROBLEMS + 1)]
+    pool = [graft.fingerprint(e, graft.method_path_nodes(s, m), k) for m in draws[1:]]
+    m, nodes = draws[0], graft.method_path_nodes(s, draws[0])
+    repo = graft.MemoryRepository(s.tree_version, s.tree_version)
+    for i in range(int(rung.removeprefix("mem").removesuffix("-stale"))):
+        repo.entries.append(graft.MemoryEntry(pool[i // TRIAL % PROBLEMS], m, nodes, {}, rng.uniform(0.0, 100.0)))
+    query = pool[0]
+    if rung == STALE:
+        for entry, _ in graft.rank_neighbors(repo, query, len(repo) // 10):
+            entry.stale = True
+    return repo, query
 
 
 def _median_time(fn, args: list) -> float:
@@ -62,14 +101,18 @@ def _median_time(fn, args: list) -> float:
 def worker(src: str, rungs: list[str], scale: float) -> dict:
     """One round on one checkout: {rung: {operation: median seconds}}."""
     sys.path.insert(0, src)
+    import graft
     from graft import build_substrate, graph_from_document, layout, method_probability, sample_method, uniform_rows
     from graft.fixtures import morning_graph_document
 
     out = {}
     for rung in rungs:
-        key = rung if rung == "morning" else int(rung)
-        doc = morning_graph_document() if rung == "morning" else flat_document(key)
-        reps = max(3, int(REPEATS[key] * scale))
+        reps = max(3, int(REPEATS[rung] * scale))
+        if rung.startswith("mem"):
+            repo, query = memory_rung(graft, rung)
+            out[rung] = {"rank_neighbors": _median_time(graft.rank_neighbors, [(repo, query, 3)] * (reps + 1))}
+            continue
+        doc = morning_graph_document() if rung == "morning" else flat_document(int(rung))
         graph = graph_from_document(doc)
         s = build_substrate(graph)
         rows = uniform_rows(s)
@@ -109,18 +152,20 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def summarise(rounds: list[dict], rungs: list[str]) -> dict:
-    """Per operation and rung: median and quartiles in ms; slopes between flat rungs."""
+    """Per operation and rung: median and quartiles in ms; slopes between the rungs of a ladder."""
     out = {}
     for op in OPERATIONS:
         rows = {}
         for rung in rungs:
+            if op not in rounds[0][rung]:
+                continue
             values = [r[rung][op] * 1e3 for r in rounds]
             q1, q3 = _quartiles(values)
             rows[rung] = {"median_ms": statistics.median(values), "q1_ms": q1, "q3_ms": q3}
-        flat = [r for r in rungs if r != "morning"]
+        ladder = [r for r in rows if _size(r) is not None]
         slopes = {
-            f"{a}-{b}": math.log(rows[b]["median_ms"] / rows[a]["median_ms"]) / math.log(int(b) / int(a))
-            for a, b in zip(flat, flat[1:])
+            f"{a}-{b}": math.log(rows[b]["median_ms"] / rows[a]["median_ms"]) / math.log(_size(b) / _size(a))
+            for a, b in zip(ladder, ladder[1:])
         }
         out[op] = {"rungs": rows, "slopes": slopes}
     return out
@@ -130,8 +175,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", type=Path, help="a second checkout, timed in alternating rounds")
     parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--smoke", action="store_true", help="rungs 50 and 200 and morning, one round, few repeats")
-    parser.add_argument("--out", type=Path, help="JSON report (default BENCH_8.json; none in smoke mode)")
+    parser.add_argument("--smoke", action="store_true", help="rungs morning, 50, 200 and mem1000, one round, few repeats")
+    parser.add_argument("--out", type=Path, help="JSON report; without it the report is only printed")
     parser.add_argument("--worker", help=argparse.SUPPRESS)  # src/ of the checkout a child round imports
     parser.add_argument("--rungs", help=argparse.SUPPRESS)
     parser.add_argument("--scale", type=float, default=1.0, help=argparse.SUPPRESS)
@@ -141,7 +186,8 @@ def main(argv=None) -> int:
         print(json.dumps(worker(args.worker, args.rungs.split(","), args.scale)))
         return 0
 
-    rungs = ["morning", *map(str, FLAT[:2] if args.smoke else FLAT)]
+    memory = [f"mem{n}" for n in MEMORY[:1]] if args.smoke else [*(f"mem{n}" for n in MEMORY), STALE]
+    rungs = ["morning", *map(str, FLAT[:2] if args.smoke else FLAT), *memory]
     rounds, scale = (1, 0.1) if args.smoke else (args.rounds, 1.0)
     sides = {"after": ROOT}
     if args.before is not None:
@@ -163,16 +209,15 @@ def main(argv=None) -> int:
         "rev": {side: _rev(path) for side, path in sides.items()},
     }
     for op in OPERATIONS:
-        for rung in rungs:
+        for rung in report["rungs"]["after"][op]["rungs"]:
             cells = [f"{side} {report['rungs'][side][op]['rungs'][rung]['median_ms']:9.3f}" for side in sides]
-            print(f"{op:20s} {rung:>8s}  " + "  ".join(cells) + "  ms")
+            print(f"{op:20s} {rung:>14s}  " + "  ".join(cells) + "  ms")
         for side in sides:
             slopes = report["rungs"][side][op]["slopes"]
-            print(f"{op:20s} {'slope':>8s}  {side} " + "  ".join(f"{k}: {v:.2f}" for k, v in slopes.items()))
-    out = args.out if args.out is not None else (None if args.smoke else ROOT / "BENCH_8.json")
-    if out is not None:
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"written to {out}", file=sys.stderr)
+            print(f"{op:20s} {'slope':>14s}  {side} " + "  ".join(f"{k}: {v:.2f}" for k, v in slopes.items()))
+    if args.out is not None:
+        args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(f"written to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -140,11 +140,23 @@ def cmd_prior(args) -> int:
     return 0
 
 
+def _load_rows_for(args, s):
+    """The rows file compiled for ``s``; a row that does not fit names the file."""
+    from .policy import compile_policy
+
+    path = _resolve(args.rows)
+    rows = io.load_rows(path)
+    try:
+        return compile_policy(s, rows)
+    except ValueError as exc:  # a row missing, or with options other than its node's s-children
+        raise GraftError(f"{path}: {exc}") from None
+
+
 def cmd_sample(args) -> int:
     from .policy import sample_method
 
     s = _load_substrate_for(args)
-    rows = io.load_rows(_resolve(args.rows))
+    rows = _load_rows_for(args, s)
     avoid = frozenset(io.load_method_list(_resolve(args.avoid))) if args.avoid else frozenset()
     m = sample_method(s, rows, args.seed, avoid=avoid)
     print(json.dumps(io.method_payload(m), sort_keys=True, indent=2))
@@ -155,7 +167,7 @@ def cmd_prob(args) -> int:
     from .policy import method_probability
 
     s = _load_substrate_for(args)
-    rows = io.load_rows(_resolve(args.rows))
+    rows = _load_rows_for(args, s)
     m = io.load_method(_resolve(args.method))
     print(repr(method_probability(s, rows, m)))
     return 0

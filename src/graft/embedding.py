@@ -144,6 +144,8 @@ def fingerprint(
     """
     if keep not in (KEEP_S_ONLY, KEEP_ALL):
         raise ValueError(f"unknown keep policy {keep!r}")
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
     nodes = list(path_nodes)
     unknown = [n for n in nodes if n not in e.position]
     if unknown:

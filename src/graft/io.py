@@ -58,7 +58,6 @@ def _is_cells(v) -> bool:
 
 
 STRING: Kind = (_is(str), "a string")
-INTEGER: Kind = (_is(int), "an integer")
 NUMBER: Kind = (_is(int, float), "a number")
 OBJECT: Kind = (_is(dict), "an object")
 STRINGS: Kind = (_list_of(str), "a list of strings")
@@ -68,7 +67,7 @@ PICKS: Kind = (
 )
 FINGERPRINT_KINDS: dict[str, Kind] = {
     "cells": (_is_cells, "a list of [x, y, depth] integer triples"),
-    "resolution": INTEGER,
+    "resolution": (lambda v: type(v) is int and v >= 1, "a positive integer"),
     "tree_tag": STRING,
     "keep": STRING,
 }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .build import Substrate, build_substrate
@@ -34,24 +34,6 @@ if TYPE_CHECKING:
 
 R_MAX = 100.0
 
-# Bumped whenever an entry's stale flag changes after construction; a
-# neighbour index re-reads the flags only when this differs from the value
-# its live column was read at.
-_stale_changes = 0
-
-
-class _StaleFlag:
-    """``MemoryEntry.stale``, kept in the plain attribute ``_stale``."""
-
-    def __get__(self, entry, owner=None):
-        return False if entry is None else entry._stale  # the class's default
-
-    def __set__(self, entry, value) -> None:
-        global _stale_changes
-        if entry._stale is not None and value != entry._stale:
-            _stale_changes += 1
-        entry._stale = value
-
 
 @dataclass
 class MemoryEntry:
@@ -60,8 +42,7 @@ class MemoryEntry:
     method_path_nodes: frozenset[str]
     observables: dict[str, float]
     reward: float
-    stale: bool = _StaleFlag()
-    _stale = None  # not a field: None until __init__ sets the flag
+    stale: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.reward <= R_MAX:
@@ -76,22 +57,14 @@ def check_observables(observables: dict[str, float]) -> None:
             raise ValueError(f"observable {key!r} must be a number, found {type(value).__name__}")
 
 
-def _live(entries: list[MemoryEntry], count: int) -> np.ndarray:
-    """Whether each of the first ``count`` entries is not stale."""
-    import numpy as np
-
-    return ~np.fromiter(map(attrgetter("stale"), entries), dtype=bool, count=count)
-
-
 class _NeighborIndex:
     """Columns over a repository's entries for exact Jaccard ranking.
 
     Every distinct cell ``(x, y, depth)`` is interned to a bit position, at
     any resolution, and each entry keeps its cells as a row of uint64 words
-    beside its cell count, its reward, a small id for its fingerprint's
-    ``(tree_tag, resolution)`` and whether it is live (not stale).  Rows are
-    only ever added.  The live column is filled as rows are added and read
-    again from every entry only after some stale flag has changed.
+    beside its cell count, its reward and a small id for its fingerprint's
+    ``(tree_tag, resolution)``.  Rows are only ever added.  Stale flags are
+    not copied: a ranking reads them from the entries it returns or skips.
     """
 
     def __init__(self) -> None:
@@ -100,8 +73,7 @@ class _NeighborIndex:
         self.last: MemoryEntry | None = None  # entries[n - 1] when it was indexed
         self.bits: dict[tuple[int, int, int], int] = {}
         self.groups: dict[tuple[str, int], int] = {}
-        self.words = self.count = self.reward = self.group = self.live = None  # numpy columns, made by _reserve
-        self.stale_changes = _stale_changes  # the value the live column is current at
+        self.words = self.count = self.reward = self.group = None  # numpy columns, made by _reserve
 
     def covers_prefix_of(self, entries: list[MemoryEntry]) -> bool:
         """Whether ``entries`` is the list indexed, grown only at its end."""
@@ -130,13 +102,13 @@ class _NeighborIndex:
         if self.words is None:
             self.words = np.zeros((0, 1), dtype=np.uint64)
             self.count, self.group = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-            self.reward, self.live = np.zeros(0, dtype=np.float64), np.zeros(0, dtype=bool)
+            self.reward = np.zeros(0, dtype=np.float64)
         cap, have = self.words.shape
         if rows > cap:
             cap = max(cap, 1)
             while cap < rows:
                 cap *= 2
-            for name in ("count", "reward", "group", "live"):
+            for name in ("count", "reward", "group"):
                 column = np.zeros(cap, dtype=getattr(self, name).dtype)
                 column[: self.n] = getattr(self, name)[: self.n]
                 setattr(self, name, column)
@@ -172,7 +144,6 @@ class _NeighborIndex:
         self.count[start:end] = np.array(counts)[rows]
         self.group[start:end] = np.array(groups)[rows]
         self.reward[start:end] = [e.reward for e in new]
-        self.live[start:end] = _live(new, len(new))
         self.n, self.last = end, entries[end - 1]
 
     def rank(self, p_new: Fingerprint, n: int) -> list[tuple[MemoryEntry, float]]:
@@ -181,29 +152,30 @@ class _NeighborIndex:
         entries, size = self.entries, self.n
         if size == 0:
             return []
-        if self.stale_changes != _stale_changes:
-            self.stale_changes = _stale_changes
-            self.live[:size] = _live(entries, size)
-        live = self.live[:size]
         if p_new.cells:
             group = self.groups.get((p_new.tree_tag, p_new.resolution), -1)
-            bad = live & ((self.group[:size] != group) | (self.count[:size] == 0))
+            bad = np.flatnonzero((self.group[:size] != group) | (self.count[:size] == 0)).tolist()
         else:
-            bad = live
-        if bad.any():
-            # the error, and its message, of comparing entry by entry
-            jaccard(p_new, entries[int(np.argmax(bad))].problem_fp)
-        idx = np.flatnonzero(live)
+            bad = range(size)
+        for i in bad:  # the first one not stale raises jaccard's error, and its message
+            if not entries[i].stale:
+                jaccard(p_new, entries[i].problem_fp)
+        if not p_new.cells:
+            return []  # every entry is stale
         query = self._words([self._mask(c for c in p_new.cells if c in self.bits)])[0]
-        inter = np.bitwise_count(self.words[idx] & query).sum(axis=1, dtype=np.int64)
+        inter = np.bitwise_count(self.words[:size] & query).sum(axis=1, dtype=np.int64)
         # counts are small integers, so this float64 division rounds as jaccard's does
-        sim = inter / (self.count[idx] + len(p_new.cells) - inter)
-        if n < len(idx):
-            kth = len(idx) - n
-            keep = sim >= np.partition(sim, kth)[kth]  # the n best and their ties
-            idx, sim = idx[keep], sim[keep]
-        order = np.lexsort((idx, -self.reward[idx], -sim))[:n]
-        return [(entries[i], s) for i, s in zip(idx[order].tolist(), sim[order].tolist())]
+        sim = inter / (self.count[:size] + len(p_new.cells) - inter)
+        found: list[int] = []
+        walked, k = 0, n
+        while True:  # cut the k best and their ties; widen the cut while too few are live
+            idx = np.flatnonzero(sim >= np.partition(sim, size - k)[size - k]) if k < size else np.arange(size)
+            order = idx[np.lexsort((idx, -self.reward[idx], -sim[idx]))].tolist()
+            # a narrower cut's order is a prefix of this one; flags are read until n are found
+            found += islice((i for i in order[walked:] if not entries[i].stale), n - len(found))
+            if len(found) == n or len(order) == size:
+                return [(entries[i], float(sim[i])) for i in found]
+            walked, k = len(order), 2 * len(order)
 
 
 @dataclass

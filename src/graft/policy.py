@@ -204,6 +204,12 @@ def compile_policy(substrate: Substrate, rows: PolicyRows | CompiledPolicy) -> C
     if rows.tree_version != substrate.tree_version:
         message = f"rows built for tree {rows.tree_version}, substrate carries {substrate.tree_version}"
         raise VersionMismatchError(message)
+    for node, kids in substrate.tree.s_children_table.items():
+        row = rows.rows.get(node)
+        if row is None:
+            raise ValueError(f"row {node!r} missing")
+        if row.options != kids and (len(row.options) != len(kids) or set(row.options) != set(kids)):
+            raise ValueError(f"row {node!r}: options {list(row.options)} are not the s-children {list(kids)}")
     priors = {cid: chain_prior(substrate, rows, cid) for cid in substrate.decision_chain_ids}
     kernels = {cid: {**dict(zip(p.options, p.mass)), INACTIVE: 0.0} for cid, p in priors.items()}
     kernels.update((cid, {cid: 1.0, INACTIVE: 0.0}) for cid in substrate.chain_order if cid not in priors)

@@ -255,7 +255,7 @@ def test_index_raises_as_jaccard_does(data):
     assert_ranks_as_jaccard(repo, query)
 
 
-# -- the live column: stale flags changed between rankings ----------------------
+# -- stale flags changed between rankings ----------------------------------------
 
 PICKS = [{"ch_a": a, "ch_b": b} for a in ("a1", "a2") for b in ("b1", "b2", "b3")]
 LEAVES = ("a1", "a2", "b1", "b2", "b3")
@@ -319,10 +319,24 @@ def test_ranking_after_appends_makes_no_pass_over_the_entries(repo, action_subst
     repo.entries.passes = 0
     assert [e.reward for e, _ in rank_neighbors(repo, fp, 3)] == [40.0, 30.0, 20.0]
     assert repo.entries.passes == 0
-    repo.entries[3].stale = True  # a flag changed: the next ranking reads them all, once
+    repo.entries[3].stale = True  # a ranking reads flags by index, never by a pass
     assert [e.reward for e, _ in rank_neighbors(repo, fp, 3)] == [30.0, 20.0, 10.0]
     assert [e.reward for e, _ in rank_neighbors(repo, fp, 3)] == [30.0, 20.0, 10.0]
-    assert repo.entries.passes == 1
+    assert repo.entries.passes == 0
+
+
+def test_ranking_widens_its_cut_past_a_stale_top():
+    """The 50 entries most similar to the query are stale, so the best cut
+    holds no live entry and must be widened until three are found."""
+    repo = MemoryRepository(problem_tree_version="ptree", action_tree_version="atree")
+    query = make_fp({(i, 0, 1) for i in range(8)})
+    for i in range(200):  # similarity 8/8, 7/8, ..., 1/8 in blocks of 25 tied entries
+        cells = {(j, 0, 1) for j in range(8 - i // 25)}
+        entry = entry_for(TOY, {"ch_a": "a1", "ch_b": "b1"}, make_fp(cells), REWARDS[i % len(REWARDS)])
+        entry.stale = i < 50
+        record(repo, entry)
+    assert ranking_outcome(rank_neighbors, repo, query, 3) == ranking_outcome(rank_neighbors_by_jaccard, repo, query, 3)
+    assert [(e.reward, s) for e, s in rank_neighbors(repo, query, 3)] == [(100.0, 6 / 8)] * 3
 
 
 def test_equal_picks_share_their_pairs(tmp_path):

@@ -204,7 +204,10 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
             _memory_line(cells=[[[0], 1, 2]]), NEIGHBORS, "bad.json:1: problem_fp: field 'cells' must be a list"
         ),
         _file_holding(
-            _memory_line(resolution="4"), NEIGHBORS, "bad.json:1: problem_fp: field 'resolution' must be an integer"
+            _memory_line(resolution="4"), NEIGHBORS, "bad.json:1: problem_fp: field 'resolution' must be a positive integer"
+        ),
+        _file_holding(
+            _memory_line(resolution=0), NEIGHBORS, "bad.json:1: problem_fp: field 'resolution' must be a positive integer"
         ),
         _file_holding(
             _memory_line(method_path_nodes="abc"), NEIGHBORS, "bad.json:1: field 'method_path_nodes' must be a list"
@@ -220,13 +223,22 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
             [*LOOP, "--env-spec", "bad.json"],
             "bad.json: problem_count must be an integer",
         ),
+        _workdir_holding(
+            "", ["fingerprint", "asub.json", "--path", "breakfast_yes,helmet_yes", "--k", "0"],
+            "resolution must be at least 1",
+        ),
+        _workdir_holding(
+            "", ["fingerprint", "asub.json", "--path", "breakfast_yes,helmet_yes", "--k", "-3"],
+            "resolution must be at least 1",
+        ),
     ],
     ids=[
         "array", "string", "number", "empty-array", "memory-line-array", "no-graph", "no-content-hash",
         "fingerprint-no-cells", "memory-line-no-field", "rows-no-rows", "env-spec-array", "env-spec-unknown-key",
         "env-spec-no-mutation-rate", "problem-out-of-range", "observables-array", "memory-reward-string",
         "memory-reward-bool", "memory-cells-not-triples", "memory-cell-holding-a-list", "memory-resolution-string",
-        "memory-path-nodes-string", "memory-method-number", "rows-row-number", "env-spec-count-string",
+        "memory-resolution-zero", "memory-path-nodes-string", "memory-method-number", "rows-row-number",
+        "env-spec-count-string", "fingerprint-k-zero", "fingerprint-k-negative",
     ],
 )
 def test_malformed_files_end_in_one_error_line(case, tmp_path):
@@ -347,6 +359,44 @@ def test_a_row_mass_outside_the_unit_interval_names_its_file_and_row(mass, tmp_p
         out = run_cli(*argv, "--rows", "bad_rows.json", cwd=tmp_path)
         assert_one_error_line(out)
         assert "bad_rows.json: row 'breakfast': probability mass outside [0, 1]" in out.stderr
+
+
+ROW_EDITS = {
+    "missing": (None, "bad_rows.json: row 'helmet' missing"),
+    "foreign-option": (
+        {"options": ["helmet_yes", "helmet_maybe"], "mass": [0.5, 0.5]},
+        "bad_rows.json: row 'helmet': options ['helmet_yes', 'helmet_maybe'] are not the s-children ['helmet_no', 'helmet_yes']",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(ROW_EDITS))
+def test_a_row_that_does_not_fit_the_substrate_names_its_file_and_row(edit, tmp_path):
+    s = build_substrate(graph_from_document(morning_graph_document()))
+    io.save_substrate(s, tmp_path / "s.json")
+    io.save_method(sample_method(s, uniform_rows(s), seed=0), tmp_path / "m.json")
+    io.save_rows(uniform_rows(s), tmp_path / "rows.json")
+    payload = json.loads((tmp_path / "rows.json").read_text())
+    row, needle = ROW_EDITS[edit]
+    if row is None:
+        del payload["rows"]["helmet"]
+    else:
+        payload["rows"]["helmet"] = row
+    (tmp_path / "bad_rows.json").write_text(json.dumps(payload))
+    for argv in (["sample", "s.json", "--seed", "3"], ["prob", "s.json", "--method", "m.json"]):
+        out = run_cli(*argv, "--rows", "bad_rows.json", cwd=tmp_path)
+        assert_one_error_line(out)
+        assert needle in out.stderr
+
+
+def test_a_row_may_list_its_options_in_any_order():
+    from graft.policy import ProbabilityRow
+
+    s = build_substrate(graph_from_document(morning_graph_document()))
+    ordered, reversed_ = uniform_rows(s), uniform_rows(s)
+    ordered.rows["helmet"] = ProbabilityRow(("helmet_no", "helmet_yes"), (0.75, 0.25))
+    reversed_.rows["helmet"] = ProbabilityRow(("helmet_yes", "helmet_no"), (0.25, 0.75))
+    assert enumerate_support(s, reversed_) == enumerate_support(s, ordered) != enumerate_support(s, uniform_rows(s))
 
 
 def test_save_memory_cut_short_leaves_the_old_file_whole(tmp_path, monkeypatch):
