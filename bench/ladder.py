@@ -11,9 +11,14 @@ or the morning fixture.  On each one the ladder times ``build_substrate``
 ``PolicyRows``.  A memory rung ``memN`` holds N entries (N = 10^3, 10^4 and
 10^5) in warm-start-style blocks: ten entries share one problem fingerprint,
 drawn from a pool of 64 problems on a 12-chain tree, so that a query that
-re-arrives ties with every entry of its problem.  On each one the ladder
-times ``rank_neighbors`` for n = 3 with such a query.  ``mem10000-stale``
-is the 10^4 rung with the query's top-ranked tenth flagged stale.
+re-arrives ties with every entry of its problem; the entries' methods are
+drawn from a pool of 65.  On each one the ladder times ``rank_neighbors``
+for n = 3 with such a query, ``compile_prior`` for that query, and
+``io.load_memory`` of the rung written with ``io.save_memory``, and it
+traces one load with ``tracemalloc``: the bytes per entry the loaded
+repository keeps, and the load's peak traced bytes.  ``mem10000-stale`` is
+the 10^4 rung with the query's top-ranked tenth flagged stale; only the
+ranking is timed there.
 
 Each round runs in a fresh child process that imports graft from the
 checkout's ``src/``, makes one warm-up call of every operation, then times
@@ -42,10 +47,14 @@ ROOT = Path(__file__).resolve().parent.parent
 FLAT = (50, 200, 1000)
 MEMORY = (1000, 10_000, 100_000)
 STALE = "mem10000-stale"
-OPERATIONS = ("build_substrate", "layout", "sample_method", "method_probability", "rank_neighbors")
+OPERATIONS = (
+    "build_substrate", "layout", "sample_method", "method_probability", "rank_neighbors", "compile_prior", "load_memory"
+)
+TRACED = ("retained_bytes_per_entry", "load_peak_traced_bytes")  # one traced load per memory rung
 # timed repeats per round: about 2,000 chain-draws' worth, at least 5, on a substrate rung
 REPEATS = {"morning": 400, "50": 40, "200": 10, "1000": 5}
 REPEATS.update({"mem1000": 400, "mem10000": 100, "mem100000": 20, STALE: 100})
+LOADS = {"mem1000": 20, "mem10000": 5, "mem100000": 3}  # timed loads per round, at least 3
 PROBLEMS, TRIAL = 64, 10  # the memory rungs' problem pool and entries per shared fingerprint
 
 
@@ -68,7 +77,7 @@ def _size(rung: str) -> int | None:
 
 
 def memory_rung(graft, rung: str):
-    """(repository, query) for a memory rung; rewards and problems are seeded."""
+    """(repository, query, substrate) for a memory rung; rewards, problems and methods are seeded."""
     import random
 
     rng = random.Random(0)
@@ -77,15 +86,44 @@ def memory_rung(graft, rung: str):
     k = graft.min_injective_k(e)
     draws = [graft.sample_method(s, graft.uniform_rows(s), seed) for seed in range(PROBLEMS + 1)]
     pool = [graft.fingerprint(e, graft.method_path_nodes(s, m), k) for m in draws[1:]]
-    m, nodes = draws[0], graft.method_path_nodes(s, draws[0])
-    repo = graft.MemoryRepository(s.tree_version, s.tree_version)
+    methods = [(m, graft.method_path_nodes(s, m)) for m in draws]
+    repo = graft.MemoryRepository(e.tree_version, s.tree_version)
     for i in range(int(rung.removeprefix("mem").removesuffix("-stale"))):
+        m, nodes = methods[i % len(methods)]
         repo.entries.append(graft.MemoryEntry(pool[i // TRIAL % PROBLEMS], m, nodes, {}, rng.uniform(0.0, 100.0)))
     query = pool[0]
     if rung == STALE:
         for entry, _ in graft.rank_neighbors(repo, query, len(repo) // 10):
             entry.stale = True
-    return repo, query
+    return repo, query, s
+
+
+def memory_load(repo, reps: int) -> dict:
+    """Median seconds of ``reps`` loads of ``repo``'s file, and one traced load's bytes."""
+    import gc
+    import tempfile
+    import tracemalloc
+
+    from graft import io
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "memory.jsonl"
+        io.save_memory(repo, path)
+        seconds = _median_time(io.load_memory, [(path,)] * (reps + 1))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loaded = io.load_memory(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return {
+        "load_memory": seconds,
+        "retained_bytes_per_entry": (retained - before) / len(loaded),
+        "load_peak_traced_bytes": peak - before,
+    }
 
 
 def _median_time(fn, args: list) -> float:
@@ -109,8 +147,11 @@ def worker(src: str, rungs: list[str], scale: float) -> dict:
     for rung in rungs:
         reps = max(3, int(REPEATS[rung] * scale))
         if rung.startswith("mem"):
-            repo, query = memory_rung(graft, rung)
+            repo, query, s = memory_rung(graft, rung)
             out[rung] = {"rank_neighbors": _median_time(graft.rank_neighbors, [(repo, query, 3)] * (reps + 1))}
+            if rung != STALE:
+                out[rung]["compile_prior"] = _median_time(graft.compile_prior, [(repo, query, s)] * (reps + 1))
+                out[rung].update(memory_load(repo, max(3, int(LOADS[rung] * scale))))
             continue
         doc = morning_graph_document() if rung == "morning" else flat_document(int(rung))
         graph = graph_from_document(doc)
@@ -171,6 +212,15 @@ def summarise(rounds: list[dict], rungs: list[str]) -> dict:
     return out
 
 
+def summarise_traced(rounds: list[dict], rungs: list[str]) -> dict:
+    """Per memory rung: the median over rounds of each traced byte count."""
+    return {
+        rung: {key: statistics.median(r[rung][key] for r in rounds) for key in TRACED}
+        for rung in rungs
+        if TRACED[0] in rounds[0][rung]
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", type=Path, help="a second checkout, timed in alternating rounds")
@@ -206,6 +256,7 @@ def main(argv=None) -> int:
         "machine": _machine(),
         "rounds": rounds,
         "rungs": {side: summarise(results[side], rungs) for side in sides},
+        "traced": {side: summarise_traced(results[side], rungs) for side in sides},
         "rev": {side: _rev(path) for side, path in sides.items()},
     }
     for op in OPERATIONS:
@@ -215,6 +266,10 @@ def main(argv=None) -> int:
         for side in sides:
             slopes = report["rungs"][side][op]["slopes"]
             print(f"{op:20s} {'slope':>14s}  {side} " + "  ".join(f"{k}: {v:.2f}" for k, v in slopes.items()))
+    for rung in report["traced"]["after"]:
+        for key in TRACED:
+            cells = [f"{side} {report['traced'][side][rung][key]:11.0f}" for side in sides]
+            print(f"{key:24s} {rung:>10s}  " + "  ".join(cells) + "  B")
     if args.out is not None:
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"written to {args.out}", file=sys.stderr)

@@ -102,7 +102,7 @@ def cmd_fingerprint(args) -> int:
 
     s = _load_substrate_for(args)
     e = layout(s.tree)
-    resolution = min_injective_k(e) if args.k == "auto" else int(args.k)
+    resolution = min_injective_k(e) if args.k == "auto" else args.k
     nodes = [n for n in args.path.split(",") if n]
     fp = fingerprint(e, nodes, resolution, keep=args.keep)
     payload = io.fingerprint_payload(fp)
@@ -327,6 +327,16 @@ def cmd_footprint(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+def _resolution(text: str) -> int | str:
+    """--k's value: 'auto' or an integer; the range is checked where the fingerprint is made."""
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, found {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graft",
@@ -356,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fingerprint", help="fingerprint a node path")
     p.add_argument("substrate")
     p.add_argument("--path", required=True, help="comma-separated node ids")
-    p.add_argument("--k", default="auto", help="grid resolution or 'auto' for the minimum injective K")
+    p.add_argument("--k", type=_resolution, default="auto", help="grid resolution or 'auto' for the minimum injective K")
     p.add_argument("--keep", choices=[KEEP_S_ONLY, KEEP_ALL], default=KEEP_S_ONLY)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_fingerprint)

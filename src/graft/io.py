@@ -285,7 +285,7 @@ def _entry_reader() -> Callable[[dict], MemoryEntry]:
         return MemoryEntry(
             problem_fp=problem_fp,
             method=MethodTuple.from_picks(payload["method"]),
-            method_path_nodes=frozenset(map(share, nodes, nodes)),
+            method_path_nodes=map(share, nodes, nodes),  # MemoryEntry sorts the shared names into a tuple
             observables=dict(payload["observables"]),
             reward=payload["reward"],
             stale=payload.get("stale", False),
@@ -318,9 +318,15 @@ def save_memory(repo: MemoryRepository, path: str | Path) -> None:
 
 
 def append_memory(repo: MemoryRepository, entry: MemoryEntry, path: str | Path) -> None:
+    """Append one record; a file whose last record has no line end is refused, as
+    the new record would be glued to it."""
     line = json.dumps(_entry_payload(entry, repo), sort_keys=True, separators=(",", ":"))
-    with open(path, "a") as fh:
-        fh.write(line + "\n")
+    with open(path, "a+b") as fh:  # writes go to the end, wherever the file was read
+        if fh.seek(0, os.SEEK_END) > 0:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                raise GraftError(f"{path}: last record has no line end")
+        fh.write(line.encode() + b"\n")
 
 
 def load_memory(
@@ -339,28 +345,32 @@ def load_memory(
     entries = []
     versions: tuple[str, str] | None = None
     if p.exists():
-        text, read = p.read_text(), _entry_reader()
+        read = _entry_reader()
         collecting = gc.isenabled()
         # the parse allocates many containers and frees no cycles, so
         # collections would only rescan them
         gc.disable()
         try:
-            for i, line in enumerate(text.splitlines()):
-                if not line.strip():
-                    continue
-                where = f"{path}:{i + 1}"
-                payload = _object(where, _parse_json(where, line), fields=MEMORY_FIELDS, kinds=MEMORY_KINDS)
-                fp_where = f"{where}: problem_fp"
-                _object(fp_where, payload["problem_fp"], fields=FINGERPRINT_FIELDS, kinds=FINGERPRINT_KINDS)
-                record_versions = (payload["problem_tree_version"], payload["action_tree_version"])
-                if versions is None:
-                    versions = record_versions
-                elif versions != record_versions:
-                    raise VersionMismatchError(f"{path}:{i + 1}: mixed tree versions in one memory file")
-                try:
-                    entries.append(read(payload))
-                except ValueError as exc:  # MemoryEntry's reward and observable checks
-                    raise GraftError(f"{where}: {exc}") from None
+            # line by line: a whole text and its list of long line strings
+            # would be held through the parse and fragment the heap
+            with open(p) as fh:
+                for i, line in enumerate(fh, 1):
+                    line = line.removesuffix("\n")
+                    if not line.strip():
+                        continue
+                    where = f"{path}:{i}"
+                    payload = _object(where, _parse_json(where, line), fields=MEMORY_FIELDS, kinds=MEMORY_KINDS)
+                    fp_where = f"{where}: problem_fp"
+                    _object(fp_where, payload["problem_fp"], fields=FINGERPRINT_FIELDS, kinds=FINGERPRINT_KINDS)
+                    record_versions = (payload["problem_tree_version"], payload["action_tree_version"])
+                    if versions is None:
+                        versions = record_versions
+                    elif versions != record_versions:
+                        raise VersionMismatchError(f"{where}: mixed tree versions in one memory file")
+                    try:
+                        entries.append(read(payload))
+                    except ValueError as exc:  # MemoryEntry's reward and observable checks
+                        raise GraftError(f"{where}: {exc}") from None
         finally:
             if collecting:
                 gc.enable()

@@ -39,12 +39,14 @@ R_MAX = 100.0
 class MemoryEntry:
     problem_fp: Fingerprint
     method: MethodTuple
-    method_path_nodes: frozenset[str]
+    method_path_nodes: tuple[str, ...]  # sorted and distinct; any iterable of names is normalised
     observables: dict[str, float]
     reward: float
     stale: bool = False
 
     def __post_init__(self):
+        # a tuple of 25 shared names takes a tenth of a frozenset's table
+        self.method_path_nodes = tuple(sorted(set(self.method_path_nodes)))
         if not 0.0 <= self.reward <= R_MAX:
             raise ValueError(f"reward {self.reward} outside [0, {R_MAX}]")
         check_observables(self.observables)
@@ -166,16 +168,27 @@ class _NeighborIndex:
         inter = np.bitwise_count(self.words[:size] & query).sum(axis=1, dtype=np.int64)
         # counts are small integers, so this float64 division rounds as jaccard's does
         sim = inter / (self.count[:size] + len(p_new.cells) - inter)
-        found: list[int] = []
-        walked, k = 0, n
-        while True:  # cut the k best and their ties; widen the cut while too few are live
-            idx = np.flatnonzero(sim >= np.partition(sim, size - k)[size - k]) if k < size else np.arange(size)
-            order = idx[np.lexsort((idx, -self.reward[idx], -sim[idx]))].tolist()
-            # a narrower cut's order is a prefix of this one; flags are read until n are found
-            found += islice((i for i in order[walked:] if not entries[i].stale), n - len(found))
-            if len(found) == n or len(order) == size:
-                return [(entries[i], float(sim[i])) for i in found]
-            walked, k = len(order), 2 * len(order)
+        # cut the n best and their ties; most rankings find n live entries among them
+        top = np.partition(sim, size - n)[size - n] if n < size else -np.inf
+        cut = np.flatnonzero(sim >= top)
+        found = list(islice((i for i in self._ordered(sim, cut) if not entries[i].stale), n))
+        # Too few live: widen the cut to twice the rows it covers, until n are live.  The
+        # new rows rank below every row cut before, and where a top cut was stale the
+        # next is likely so too, so their flags are read first and only live rows ordered.
+        covered = len(cut)
+        while len(found) < n and covered < size:
+            below = np.partition(sim, size - 2 * covered)[size - 2 * covered] if 2 * covered < size else -np.inf
+            cut = np.flatnonzero((sim >= below) & (sim < top))
+            live = np.array([i for i in cut.tolist() if not entries[i].stale], dtype=np.intp)
+            found += self._ordered(sim, live)[: n - len(found)]
+            top, covered = below, covered + len(cut)
+        return [(entries[i], float(sim[i])) for i in found]
+
+    def _ordered(self, sim: np.ndarray, rows: np.ndarray) -> list[int]:
+        """``rows``, given in index order, by similarity desc, reward desc, insertion asc."""
+        import numpy as np
+
+        return rows[np.lexsort((-self.reward[rows], -sim[rows]))].tolist()  # lexsort is stable
 
 
 @dataclass
@@ -241,31 +254,35 @@ def neighbor_weight(similarity: float, reward: float) -> float:
     return gate * (reward / R_MAX)
 
 
-def _check_path_current(entry: MemoryEntry, tree: FactoredTree) -> None:
-    missing = [n for n in entry.method_path_nodes if n not in tree.depth]
+def _votes(entry: MemoryEntry, tree: FactoredTree) -> dict[str, str]:
+    """s-node on the entry's path -> the child the path picks under it, made in one
+    pass over the path; a name the tree no longer holds, or two picks under one
+    node, raises ``StalePathError``."""
+    path, s = entry.method_path_nodes, EdgeType.SUBDIVIDES_IN
+    picks: dict[str, str] = {}
+    missing, twice = [], []
+    for node in path:
+        kind = tree.edge_type.get(node)  # None for the root and for removed nodes
+        if kind is s:
+            if picks.setdefault(tree.parent[node], node) != node:
+                twice.append(tree.parent[node])
+        elif kind is None and node != tree.root:
+            missing.append(node)
     if missing:
         raise StalePathError(f"method path references removed nodes {sorted(missing)}; re-encode the entry")
-
-
-def _vote(entry: MemoryEntry, tree: FactoredTree, node: str) -> str | None:
-    """The child this entry's path picks at ``node``, or None off-path."""
-    path = entry.method_path_nodes
-    hits = [c for c in tree.s_children(node) if c in path] if node in path else ()
-    if len(hits) > 1:
-        raise StalePathError(f"method path picks multiple children of {node}")
-    return hits[0] if hits else None
+    on_path = set(path)  # a pick counts only under a node on the path
+    twice = [node for node in twice if node in on_path]
+    if twice:  # the first in row order
+        raise StalePathError(f"method path picks multiple children of {min(twice)}")
+    return {node: child for node, child in picks.items() if node in on_path}
 
 
 def partial_spec(entry: MemoryEntry, tree: FactoredTree) -> dict[str, ProbabilityRow]:
     """One neighbour's row votes: one-hot along its path, uniform elsewhere."""
-    _check_path_current(entry, tree)
-    spec: dict[str, ProbabilityRow] = {}
-    for node, uniform in tree.uniform_rows.items():
-        chosen = _vote(entry, tree, node)
-        if chosen is None:
-            spec[node] = uniform
-        else:
-            spec[node] = ProbabilityRow(uniform.options, tuple(1.0 if c == chosen else 0.0 for c in uniform.options))
+    spec: dict[str, ProbabilityRow] = dict(tree.uniform_rows)
+    for node, chosen in _votes(entry, tree).items():
+        options = spec[node].options
+        spec[node] = ProbabilityRow(options, tuple(1.0 if c == chosen else 0.0 for c in options))
     return spec
 
 
@@ -297,11 +314,10 @@ def compile_prior(
         rows = dict(base.rows)  # exact fallback: the uniform prior, bitwise
     else:
         w_bar = min(1.0, max(0.0, w_tot / n_eff))
-        for entry, _ in neighbors:
-            _check_path_current(entry, tree)
+        maps = [_votes(e, tree) for e, _ in neighbors]
         rows = {}
         for node, mu in base.rows.items():
-            votes = [_vote(e, tree, node) for e, _ in neighbors]
+            votes = [m.get(node) for m in maps]
             if all(v is None for v in votes):
                 rows[node] = mu  # the average collapses to the uniform row, bitwise
                 continue

@@ -17,10 +17,10 @@ import numpy as np
 from graft import KnowledgeGraph, MethodTuple, Substrate, build_substrate, graph_from_document, jaccard
 from graft.embedding import K_MAX, Embedding
 from graft.errors import ResolutionSearchError
-from graft.errors import SupportExhaustedError
+from graft.errors import StalePathError, SupportExhaustedError, VersionMismatchError
 from graft.loop import ADVISOR_STRATEGIES, _editable_chains
-from graft.memory import MemoryEntry, MemoryRepository
-from graft.policy import _OPERATORS, INACTIVE, MAX_RETRIES, PolicyRows, ProbabilityRow, _draw, validate_tuple
+from graft.memory import MemoryEntry, MemoryRepository, PriorParams, _apply_certain_rules, neighbor_weight, rank_neighbors
+from graft.policy import _OPERATORS, INACTIVE, MAX_RETRIES, PolicyRows, ProbabilityRow, _draw, uniform_rows, validate_tuple
 
 
 # -- neighbour ranking, entry by entry ------------------------------------------
@@ -31,6 +31,79 @@ def rank_neighbors_by_jaccard(repo: MemoryRepository, p_new, n: int) -> list[tup
     order, calling ``jaccard`` once per entry."""
     scored = ((-jaccard(p_new, e.problem_fp), -e.reward, i, e) for i, e in enumerate(repo.entries) if not e.stale)
     return [(e, -neg_sim) for neg_sim, _, _, e in heapq.nsmallest(n, scored)]
+
+
+# -- prior votes, node by node ----------------------------------------------------
+# The vote path before votes were read from one map per entry: each s-node
+# asks every neighbour for its pick, intersecting the node's s-children with
+# the path.
+
+
+def check_path_current(entry: MemoryEntry, tree) -> None:
+    missing = [n for n in entry.method_path_nodes if n not in tree.depth]
+    if missing:
+        raise StalePathError(f"method path references removed nodes {sorted(missing)}; re-encode the entry")
+
+
+def vote_at(entry: MemoryEntry, tree, node: str) -> str | None:
+    """The child this entry's path picks at ``node``, or None off-path."""
+    path = entry.method_path_nodes
+    hits = [c for c in tree.s_children(node) if c in path] if node in path else ()
+    if len(hits) > 1:
+        raise StalePathError(f"method path picks multiple children of {node}")
+    return hits[0] if hits else None
+
+
+def partial_spec_by_node(entry: MemoryEntry, tree) -> dict[str, ProbabilityRow]:
+    """One neighbour's row votes: one-hot along its path, uniform elsewhere."""
+    check_path_current(entry, tree)
+    spec: dict[str, ProbabilityRow] = {}
+    for node, uniform in tree.uniform_rows.items():
+        chosen = vote_at(entry, tree, node)
+        if chosen is None:
+            spec[node] = uniform
+        else:
+            spec[node] = ProbabilityRow(uniform.options, tuple(1.0 if c == chosen else 0.0 for c in uniform.options))
+    return spec
+
+
+def compile_prior_by_node(repo: MemoryRepository, p_new, substrate: Substrate, params=PriorParams()) -> PolicyRows:
+    """Blend neighbour votes with the uniform prior, then apply certain rules."""
+    if p_new.tree_tag != repo.problem_tree_version:
+        raise VersionMismatchError("query fingerprint does not match the repository's problem tree")
+    tree = substrate.tree
+    base = uniform_rows(substrate)
+
+    neighbors = rank_neighbors(repo, p_new, params.n_neighbors)
+    weights = [neighbor_weight(sim, e.reward) for e, sim in neighbors]
+    w_tot = sum(weights)
+    n_eff = sum(1 for w in weights if w > 0.0)
+
+    if w_tot == 0.0 or n_eff == 0:
+        rows = dict(base.rows)  # exact fallback: the uniform prior, bitwise
+    else:
+        w_bar = min(1.0, max(0.0, w_tot / n_eff))
+        for entry, _ in neighbors:
+            check_path_current(entry, tree)
+        rows = {}
+        for node, mu in base.rows.items():
+            votes = [vote_at(e, tree, node) for e, _ in neighbors]
+            if all(v is None for v in votes):
+                rows[node] = mu  # the average collapses to the uniform row, bitwise
+                continue
+            data = [0.0] * len(mu.options)
+            for w, vote in zip(weights, votes):
+                if vote is None:
+                    for i, u in enumerate(mu.mass):
+                        data[i] += w * u
+                else:
+                    data[mu.options.index(vote)] += w
+            data = [d / w_tot for d in data]
+            blended = tuple(w_bar * d + (1.0 - w_bar) * u for d, u in zip(data, mu.mass))
+            rows[node] = ProbabilityRow(options=mu.options, mass=blended)
+
+    _apply_certain_rules(substrate, rows)
+    return PolicyRows(rows=rows, tree_version=substrate.tree_version)
 
 
 # -- the resolution search over numpy arrays ------------------------------------

@@ -430,3 +430,91 @@ def test_save_memory_cut_short_leaves_the_old_file_whole(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.jsonl"]  # no temporary file left behind
     io.save_memory(repo, path)
     assert len(io.load_memory(path).entries) == 6
+
+
+def _recorded_memory(tmp_path, records):
+    """``memory.jsonl`` holding ``records`` entries made by ``graft record``."""
+    _workdir_holding("{}", [], "")(tmp_path)  # asub.json, m.json and p.fp
+    for _ in range(records):
+        assert run_cli(*RECORD, "--reward", "1", cwd=tmp_path).returncode == 0
+    return tmp_path / "memory.jsonl"
+
+
+def test_record_refuses_a_last_record_without_a_line_end(tmp_path):
+    path = _recorded_memory(tmp_path, 1)
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+    before = path.read_bytes()
+    assert run_cli("neighbors", "memory.jsonl", "--problem", "p.fp", cwd=tmp_path).returncode == 0  # it loads
+    out = run_cli(*RECORD, "--reward", "1", cwd=tmp_path)
+    assert_one_error_line(out)
+    assert f"{path}: last record has no line end" in out.stderr
+    assert path.read_bytes() == before
+
+
+def test_loop_refuses_a_last_record_without_a_line_end(tmp_path):
+    _loop_workdir(tmp_path, morning_graph_document())
+    loop = [*LOOP, "--env-spec", "env.json", "--problems", "0"]
+    assert run_cli(*loop, cwd=tmp_path).returncode == 0
+    path = tmp_path / "memory.jsonl"
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+    before = path.read_bytes()
+    out = run_cli(*loop, cwd=tmp_path)
+    assert_one_error_line(out)
+    assert f"{path}: last record has no line end" in out.stderr
+    assert path.read_bytes() == before
+
+
+def test_append_memory_writes_to_an_empty_file_and_after_a_line_end(tmp_path):
+    from graft.errors import GraftError
+
+    path = _recorded_memory(tmp_path, 1)
+    repo = io.load_memory(path)
+    empty = tmp_path / "empty.jsonl"
+    empty.touch()
+    io.append_memory(repo, repo.entries[0], empty)
+    io.append_memory(repo, repo.entries[0], path)
+    assert empty.read_bytes() * 2 == path.read_bytes()
+    empty.write_bytes(empty.read_bytes() + b" ")
+    with pytest.raises(GraftError, match="last record has no line end"):
+        io.append_memory(repo, repo.entries[0], empty)
+
+
+def test_a_torn_last_record_is_refused_by_record_and_every_loader(tmp_path):
+    path = _recorded_memory(tmp_path, 2)
+    first, second = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(first + second[: len(second) // 2])
+    before = path.read_bytes()
+    calls = (
+        [*RECORD, "--reward", "1"],
+        ["neighbors", "memory.jsonl", "--problem", "p.fp"],
+        ["prior", "memory.jsonl", "asub.json", "--problem", "p.fp", "--out", "rows.json"],
+        ["landscape", "memory.jsonl", "--observable", "wall", "--problem-substrate", "asub.json",
+         "--action-substrate", "asub.json", "--out", "land.tsv"],
+    )  # fmt: skip
+    for argv in calls:
+        out = run_cli(*argv, cwd=tmp_path)
+        assert_one_error_line(out)
+        assert f"{path}:2: malformed JSON" in out.stderr
+        assert path.read_bytes() == before
+
+
+def test_a_torn_last_record_is_refused_by_loop(tmp_path):
+    _loop_workdir(tmp_path, morning_graph_document())
+    loop = [*LOOP, "--env-spec", "env.json", "--problems", "0"]
+    assert run_cli(*loop, cwd=tmp_path).returncode == 0
+    path = tmp_path / "memory.jsonl"
+    path.write_bytes(path.read_bytes()[:-20])
+    before = path.read_bytes()
+    out = run_cli(*loop, cwd=tmp_path)
+    assert_one_error_line(out)
+    assert f"{path}:1: malformed JSON" in out.stderr
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_a_k_that_is_not_auto_or_an_integer_is_a_usage_error(value, tmp_path):
+    _workdir_holding("", [], "")(tmp_path)
+    out = run_cli("fingerprint", "asub.json", "--path", "breakfast_yes,helmet_yes", "--k", value, cwd=tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert "argument --k" in out.stderr and "Traceback" not in out.stderr
+
