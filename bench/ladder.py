@@ -16,9 +16,11 @@ drawn from a pool of 65.  On each one the ladder times ``rank_neighbors``
 for n = 3 with such a query, ``compile_prior`` for that query, and
 ``io.load_memory`` of the rung written with ``io.save_memory``, and it
 traces one load with ``tracemalloc``: the bytes per entry the loaded
-repository keeps, and the load's peak traced bytes.  ``mem10000-stale`` is
-the 10^4 rung with the query's top-ranked tenth flagged stale; only the
-ranking is timed there.
+repository keeps, and the load's peak traced bytes.  Two variants time only
+the ranking: ``mem10000-stale`` is the 10^4 rung with the query's top-ranked
+tenth flagged stale, and ``mem10000-distinct`` gives every entry a problem
+fingerprint of its own (a distinct pick on each of the 12 chains), with the
+first entry's as the query.  The smoke run takes both at 10^3 entries.
 
 Each round runs in a fresh child process that imports graft from the
 checkout's ``src/``, makes one warm-up call of every operation, then times
@@ -46,14 +48,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FLAT = (50, 200, 1000)
 MEMORY = (1000, 10_000, 100_000)
-STALE = "mem10000-stale"
+VARIANTS = ("-stale", "-distinct")  # ranking-only rungs
 OPERATIONS = (
     "build_substrate", "layout", "sample_method", "method_probability", "rank_neighbors", "compile_prior", "load_memory"
 )
 TRACED = ("retained_bytes_per_entry", "load_peak_traced_bytes")  # one traced load per memory rung
 # timed repeats per round: about 2,000 chain-draws' worth, at least 5, on a substrate rung
 REPEATS = {"morning": 400, "50": 40, "200": 10, "1000": 5}
-REPEATS.update({"mem1000": 400, "mem10000": 100, "mem100000": 20, STALE: 100})
+REPEATS.update({f"mem{n}{v}": reps for n, reps in zip(MEMORY, (400, 100, 20)) for v in ("", *VARIANTS)})
 LOADS = {"mem1000": 20, "mem10000": 5, "mem100000": 3}  # timed loads per round, at least 3
 PROBLEMS, TRIAL = 64, 10  # the memory rungs' problem pool and entries per shared fingerprint
 
@@ -87,12 +89,18 @@ def memory_rung(graft, rung: str):
     draws = [graft.sample_method(s, graft.uniform_rows(s), seed) for seed in range(PROBLEMS + 1)]
     pool = [graft.fingerprint(e, graft.method_path_nodes(s, m), k) for m in draws[1:]]
     methods = [(m, graft.method_path_nodes(s, m)) for m in draws]
+    size, _, variant = rung.removeprefix("mem").partition("-")
+    if variant == "distinct":  # entry i's problem picks option (code // 3^c) % 3 on chain c, each code once
+        codes = random.Random(1).sample(range(3 ** len(s.chain_order)), int(size))
+        picks = [{c: f"{c}_o{code // 3 ** j % 3}" for j, c in enumerate(s.chain_order)} for code in codes]
+        pool = [graft.fingerprint(e, graft.method_path_nodes(s, graft.MethodTuple.from_picks(p)), k) for p in picks]
     repo = graft.MemoryRepository(e.tree_version, s.tree_version)
-    for i in range(int(rung.removeprefix("mem").removesuffix("-stale"))):
+    for i in range(int(size)):
         m, nodes = methods[i % len(methods)]
-        repo.entries.append(graft.MemoryEntry(pool[i // TRIAL % PROBLEMS], m, nodes, {}, rng.uniform(0.0, 100.0)))
+        problem = pool[i] if variant == "distinct" else pool[i // TRIAL % PROBLEMS]
+        repo.entries.append(graft.MemoryEntry(problem, m, nodes, {}, rng.uniform(0.0, 100.0)))
     query = pool[0]
-    if rung == STALE:
+    if variant == "stale":
         for entry, _ in graft.rank_neighbors(repo, query, len(repo) // 10):
             entry.stale = True
     return repo, query, s
@@ -149,7 +157,7 @@ def worker(src: str, rungs: list[str], scale: float) -> dict:
         if rung.startswith("mem"):
             repo, query, s = memory_rung(graft, rung)
             out[rung] = {"rank_neighbors": _median_time(graft.rank_neighbors, [(repo, query, 3)] * (reps + 1))}
-            if rung != STALE:
+            if _size(rung) is not None:
                 out[rung]["compile_prior"] = _median_time(graft.compile_prior, [(repo, query, s)] * (reps + 1))
                 out[rung].update(memory_load(repo, max(3, int(LOADS[rung] * scale))))
             continue
@@ -225,7 +233,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", type=Path, help="a second checkout, timed in alternating rounds")
     parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--smoke", action="store_true", help="rungs morning, 50, 200 and mem1000, one round, few repeats")
+    parser.add_argument(
+        "--smoke", action="store_true", help="rungs morning, 50, 200 and mem1000 with its variants, one round, few repeats"
+    )
     parser.add_argument("--out", type=Path, help="JSON report; without it the report is only printed")
     parser.add_argument("--worker", help=argparse.SUPPRESS)  # src/ of the checkout a child round imports
     parser.add_argument("--rungs", help=argparse.SUPPRESS)
@@ -236,7 +246,8 @@ def main(argv=None) -> int:
         print(json.dumps(worker(args.worker, args.rungs.split(","), args.scale)))
         return 0
 
-    memory = [f"mem{n}" for n in MEMORY[:1]] if args.smoke else [*(f"mem{n}" for n in MEMORY), STALE]
+    memory = [f"mem{n}" for n in MEMORY[:1]] if args.smoke else [f"mem{n}" for n in MEMORY]
+    memory += [f"mem{MEMORY[0 if args.smoke else 1]}{v}" for v in VARIANTS]
     rungs = ["morning", *map(str, FLAT[:2] if args.smoke else FLAT), *memory]
     rounds, scale = (1, 0.1) if args.smoke else (args.rounds, 1.0)
     sides = {"after": ROOT}

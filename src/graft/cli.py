@@ -337,6 +337,16 @@ def _resolution(text: str) -> int | str:
         raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, found {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """A neighbour count: an integer of at least 0, where 0 asks for none."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 0, found {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graft",
@@ -380,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("memory")
     p.add_argument("substrate")
     p.add_argument("--problem", required=True, help="problem fingerprint file")
-    p.add_argument("--neighbors", type=int, default=3)
+    p.add_argument("--neighbors", type=_count, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_prior)
 
@@ -409,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("neighbors", help="rank memory entries against a problem")
     p.add_argument("memory")
     p.add_argument("--problem", required=True)
-    p.add_argument("-n", "--count", type=int, default=3)
+    p.add_argument("-n", "--count", type=_count, default=3)
     p.set_defaults(handler=cmd_neighbors)
 
     p = sub.add_parser("loop", help="run closed-loop trials against an environment")

@@ -11,8 +11,11 @@ documented constraints cannot be undone by neighbour evidence.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, filterfalse, islice, repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .build import Substrate, build_substrate
@@ -33,9 +36,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 R_MAX = 100.0
+_stale = attrgetter("stale")
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryEntry:
     problem_fp: Fingerprint
     method: MethodTuple
@@ -60,13 +64,16 @@ def check_observables(observables: dict[str, float]) -> None:
 
 
 class _NeighborIndex:
-    """Columns over a repository's entries for exact Jaccard ranking.
+    """One row per distinct problem fingerprint, for exact Jaccard ranking.
 
     Every distinct cell ``(x, y, depth)`` is interned to a bit position, at
-    any resolution, and each entry keeps its cells as a row of uint64 words
-    beside its cell count, its reward and a small id for its fingerprint's
-    ``(tree_tag, resolution)``.  Rows are only ever added.  Stale flags are
-    not copied: a ranking reads them from the entries it returns or skips.
+    any resolution.  A row holds a fingerprint's cells as uint64 words,
+    beside its cell count and a small id for its ``(tree_tag, resolution)``,
+    or for emptiness; equal fingerprints share a row.  Beside each row, the
+    indices of its entries are kept by reward desc, then index asc, with
+    their negated rewards, so a ranking scores the rows and reads only the
+    entries it returns or skips.  Rows and entries are only ever added.
+    Stale flags are not copied: a ranking reads them from those entries.
     """
 
     def __init__(self) -> None:
@@ -74,8 +81,11 @@ class _NeighborIndex:
         self.n = 0
         self.last: MemoryEntry | None = None  # entries[n - 1] when it was indexed
         self.bits: dict[tuple[int, int, int], int] = {}
-        self.groups: dict[tuple[str, int], int] = {}
-        self.words = self.count = self.reward = self.group = None  # numpy columns, made by _reserve
+        self.groups: dict[tuple[str, int] | None, int] = {}  # None holds the empty fingerprints
+        self.rows: dict[Fingerprint, int] = {}
+        self.keys: list[array] = []  # per row: its members' negated rewards, ascending
+        self.members: list[array] = []  # per row: entry indices, by reward desc then index asc
+        self.words, self.count, self.group = None, (), ()  # numpy columns over the rows; counts and ids in float64
 
     def covers_prefix_of(self, entries: list[MemoryEntry]) -> bool:
         """Whether ``entries`` is the list indexed, grown only at its end."""
@@ -83,124 +93,110 @@ class _NeighborIndex:
         return n == 0 or (entries is self.entries and len(entries) >= n and entries[n - 1] is self.last)
 
     def _mask(self, cells) -> int:
-        mask = 0
-        for cell in cells:
-            bit = self.bits.get(cell)
-            if bit is None:
-                bit = self.bits[cell] = len(self.bits)
-            mask |= 1 << bit
-        return mask
+        """The bits of distinct ``cells``, interning the cells not seen before."""
+        return sum(1 << self.bits.setdefault(cell, len(self.bits)) for cell in cells)
 
-    def _words(self, masks: list[int]) -> np.ndarray:
+    def _words(self, masks, width: int) -> np.ndarray:
         import numpy as np
 
-        width = self.words.shape[1]
         return np.frombuffer(b"".join(m.to_bytes(8 * width, "little") for m in masks), dtype="<u8").reshape(-1, width)
 
-    def _reserve(self, rows: int, width: int) -> None:
-        """Room for ``rows`` rows of ``width`` words; row capacity doubles."""
-        import numpy as np
-
-        if self.words is None:
-            self.words = np.zeros((0, 1), dtype=np.uint64)
-            self.count, self.group = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-            self.reward = np.zeros(0, dtype=np.float64)
-        cap, have = self.words.shape
-        if rows > cap:
-            cap = max(cap, 1)
-            while cap < rows:
-                cap *= 2
-            for name in ("count", "reward", "group"):
-                column = np.zeros(cap, dtype=getattr(self, name).dtype)
-                column[: self.n] = getattr(self, name)[: self.n]
-                setattr(self, name, column)
-        if self.words.shape != (cap, max(width, have)):
-            words = np.zeros((cap, max(width, have)), dtype=np.uint64)
-            words[: self.n, :have] = self.words[: self.n]
-            self.words = words
-
     def extend(self, entries: list[MemoryEntry]) -> None:
-        """Index ``entries[n:]``, encoding each distinct Fingerprint once."""
+        """Index ``entries[n:]``: a row for each fingerprint not seen before, and
+        each entry into its row's order."""
         import numpy as np
 
         self.entries, start = entries, self.n
-        new = entries[start:]
-        if not new:
+        if len(entries) == start:
             return
-        codes: dict[int, int] = {}  # id of a Fingerprint -> its place in ``distinct``
-        distinct: list[tuple[int, int, int]] = []  # (cell mask, cell count, group id)
-        rows = []
-        for entry in new:
+        blocks: dict[int, list[tuple[float, int]]] = {}  # row -> (negated reward, index) of its new entries
+        rows = []  # (cell mask, cell count, group id) of the rows made here
+        for i, entry in enumerate(entries[start:], start):
             fp = entry.problem_fp
-            code = codes.get(id(fp))
-            if code is None:
-                code = codes[id(fp)] = len(distinct)
-                group = self.groups.setdefault((fp.tree_tag, fp.resolution), len(self.groups))
-                distinct.append((self._mask(fp.cells), len(fp.cells), group))
-            rows.append(code)
-        masks, counts, groups = zip(*distinct)
-        end = start + len(new)
-        self._reserve(end, -(-len(self.bits) // 64))
-        rows = np.array(rows)
-        self.words[start:end] = self._words(masks)[rows]
-        self.count[start:end] = np.array(counts)[rows]
-        self.group[start:end] = np.array(groups)[rows]
-        self.reward[start:end] = [e.reward for e in new]
-        self.n, self.last = end, entries[end - 1]
+            row = self.rows.get(fp)
+            if row is None:
+                row = self.rows[fp] = len(self.rows)
+                group = self.groups.setdefault((fp.tree_tag, fp.resolution) if fp.cells else None, len(self.groups))
+                rows.append((self._mask(fp.cells), len(fp.cells), group))
+                self.keys.append(array("d"))
+                self.members.append(array("q"))
+            blocks.setdefault(row, []).append((-entry.reward, i))
+        for row, block in blocks.items():
+            keys, members = self.keys[row], self.members[row]
+            if keys and len(block) <= 32:  # a few appends: each moves the row in C, where a sort makes tuples of it
+                for key, i in block:  # i is above every member's index, so it goes after equal rewards
+                    at = bisect_right(keys, key)
+                    keys.insert(at, key)
+                    members.insert(at, i)
+            else:  # a new row, or a bulk build such as the first ranking after a load, is sorted once
+                merged = sorted([*zip(keys, members), *block])
+                self.keys[row] = array("d", [k for k, _ in merged])
+                self.members[row] = array("q", [i for _, i in merged])
+        if rows:
+            masks, counts, groups = zip(*rows)
+            width = -(-len(self.bits) // 64) or 1
+            old = np.zeros((0, width), dtype=np.uint64) if self.words is None else self.words
+            old = np.pad(old, ((0, 0), (0, width - old.shape[1])))
+            self.words = np.concatenate([old, self._words(masks, width)])
+            self.count, self.group = np.concatenate([self.count, counts]), np.concatenate([self.group, groups])
+        self.n, self.last = len(entries), entries[-1]
 
     def rank(self, p_new: Fingerprint, n: int) -> list[tuple[MemoryEntry, float]]:
         import numpy as np
 
-        entries, size = self.entries, self.n
-        if size == 0:
+        entries = self.entries
+        if not self.rows:
             return []
-        if p_new.cells:
-            group = self.groups.get((p_new.tree_tag, p_new.resolution), -1)
-            bad = np.flatnonzero((self.group[:size] != group) | (self.count[:size] == 0)).tolist()
-        else:
-            bad = range(size)
-        for i in bad:  # the first one not stale raises jaccard's error, and its message
-            if not entries[i].stale:
-                jaccard(p_new, entries[i].problem_fp)
+        group = self.groups.get((p_new.tree_tag, p_new.resolution), -1) if p_new.cells else -1
+        bad = np.flatnonzero(self.group != group).tolist()
+        # the first entry not stale, in index order, raises jaccard's error and its message
+        for entry in filterfalse(_stale, map(entries.__getitem__, sorted(chain(*map(self.members.__getitem__, bad))))):
+            jaccard(p_new, entry.problem_fp)
         if not p_new.cells:
             return []  # every entry is stale
-        query = self._words([self._mask(c for c in p_new.cells if c in self.bits)])[0]
-        inter = np.bitwise_count(self.words[:size] & query).sum(axis=1, dtype=np.int64)
-        # counts are small integers, so this float64 division rounds as jaccard's does
-        sim = inter / (self.count[:size] + len(p_new.cells) - inter)
-        # cut the n best and their ties; most rankings find n live entries among them
-        top = np.partition(sim, size - n)[size - n] if n < size else -np.inf
-        cut = np.flatnonzero(sim >= top)
-        found = list(islice((i for i in self._ordered(sim, cut) if not entries[i].stale), n))
-        # Too few live: widen the cut to twice the rows it covers, until n are live.  The
-        # new rows rank below every row cut before, and where a top cut was stale the
-        # next is likely so too, so their flags are read first and only live rows ordered.
-        covered = len(cut)
-        while len(found) < n and covered < size:
-            below = np.partition(sim, size - 2 * covered)[size - 2 * covered] if 2 * covered < size else -np.inf
-            cut = np.flatnonzero((sim >= below) & (sim < top))
-            live = np.array([i for i in cut.tolist() if not entries[i].stale], dtype=np.intp)
-            found += self._ordered(sim, live)[: n - len(found)]
-            top, covered = below, covered + len(cut)
-        return [(entries[i], float(sim[i])) for i in found]
+        query = self._words([self._mask(c for c in p_new.cells if c in self.bits)], self.words.shape[1])[0]
+        inter = np.bitwise_count(self.words & query).sum(axis=1, dtype=np.float64)
+        # counts are small integers, exact in float64, so this division rounds as jaccard's does
+        sim = inter / (self.count + len(p_new.cells) - inter)
+        sim[bad] = -np.inf  # their entries are all stale
+        found: list[tuple[MemoryEntry, float]] = []
+        while len(found) < n:  # one similarity level at a time, from the top
+            top = sim.max()
+            if top == -np.inf:
+                break
+            tied = np.flatnonzero(sim == top).tolist()
+            sim[tied] = -np.inf
+            order = self.members[tied[0]] if len(tied) == 1 else chain.from_iterable(self._merged(tied, n - len(found)))
+            live = filterfalse(_stale, map(entries.__getitem__, order))
+            found += zip(islice(live, n - len(found)), repeat(float(top)))
+        return found
 
-    def _ordered(self, sim: np.ndarray, rows: np.ndarray) -> list[int]:
-        """``rows``, given in index order, by similarity desc, reward desc, insertion asc."""
+    def _merged(self, rows: list[int], c: int):
+        """The members of several rows by reward desc, then index asc, in runs.  The
+        first c of the union of each row's first c are the first c of the merge, so
+        each run sorts that union, c growing fourfold until it covers every row."""
         import numpy as np
 
-        return rows[np.lexsort((-self.reward[rows], -sim[rows]))].tolist()  # lexsort is stable
+        longest, done = max(len(self.members[row]) for row in rows), 0
+        while done is not None:
+            keys = np.frombuffer(b"".join(self.keys[row][:c] for row in rows))
+            members = np.frombuffer(b"".join(self.members[row][:c] for row in rows), dtype=np.int64)
+            stop = c if c < longest else None
+            # a complex number sorts by its real part, then its imaginary part
+            yield members[np.argsort(keys + 1j * members)][done:stop].tolist()
+            done, c = stop, 4 * c
 
 
 @dataclass
 class MemoryRepository:
     """Append-only store; entries are never deleted, only flagged stale.
 
-    Neighbour ranking keeps columns over ``entries`` and extends them with
+    Neighbour ranking keeps an index over ``entries`` and extends it with
     the entries appended since its last call.  So entries may only be
     appended, through ``record`` or ``entries.append``; once an entry has
     been ranked, its ``stale`` flag is the only field that may change.
     Replacing the list, or shrinking it, makes the next ranking rebuild
-    the columns from scratch.
+    the index from scratch.
     """
 
     problem_tree_version: str

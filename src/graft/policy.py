@@ -68,7 +68,7 @@ class PolicyRows:
 _PAIRS: dict[tuple[str, Optional[str]], tuple[str, Optional[str]]] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodTuple:
     """One value per chain: alphabet member, presence marker, or None."""
 

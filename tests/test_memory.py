@@ -20,6 +20,7 @@ from graft import (
     enumerate_support,
     fingerprint,
     grow_tree,
+    jaccard,
     layout,
     method_path_nodes,
     method_probability,
@@ -337,6 +338,78 @@ def test_ranking_widens_its_cut_past_a_stale_top():
         record(repo, entry)
     assert ranking_outcome(rank_neighbors, repo, query, 3) == ranking_outcome(rank_neighbors_by_jaccard, repo, query, 3)
     assert [(e.reward, s) for e, s in rank_neighbors(repo, query, 3)] == [(100.0, 6 / 8)] * 3
+
+
+# -- one row per distinct fingerprint ---------------------------------------------
+
+SHAPES = [frozenset((i, 0, 1) for i in range(k)) for k in (1, 2, 3)] + [frozenset({(0, 0, 1), (5, 0, 1)})]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_index_ranks_as_jaccard_over_equal_fingerprints(data):
+    """Every entry gets its own Fingerprint object, equal to others of its
+    shape, and keep "s" or "all" makes two rows of one shape, so ties span
+    rows; each batch between rankings lands mid-order in rows made before,
+    and a burst gives one row more new entries than a few appends."""
+    shape, keep = st.integers(0, len(SHAPES) - 1), st.sampled_from(["s", "all"])
+    reward = st.one_of(st.sampled_from(REWARDS), st.floats(0.0, 100.0))
+    batch = st.lists(st.tuples(shape, keep, reward, st.booleans()), min_size=1, max_size=12)
+    burst = st.tuples(shape, keep, st.lists(st.tuples(reward, st.booleans()), min_size=33, max_size=40))
+    repo = MemoryRepository(problem_tree_version="ptree", action_tree_version="atree")
+    for _ in range(data.draw(st.integers(1, 4))):
+        specs = data.draw(batch)
+        if data.draw(st.booleans()):
+            k, kept, rewards = data.draw(burst)
+            specs += [(k, kept, r, stale) for r, stale in rewards]
+        for k, keep, r, stale in specs:
+            fp = Fingerprint(cells=SHAPES[k], resolution=64, tree_tag="ptree", keep=keep)
+            entry = entry_for(TOY, {"ch_a": "a1", "ch_b": "b1"}, fp, r)
+            entry.stale = stale
+            record(repo, entry)
+        query = make_fp(SHAPES[data.draw(shape)] | ({UNSEEN} if data.draw(st.booleans()) else set()))
+        for n in (1, 3, 10, len(repo) + 2):
+            assert ranking_outcome(rank_neighbors, repo, query, n) == ranking_outcome(
+                rank_neighbors_by_jaccard, repo, query, n
+            )
+
+
+class ReadCountingList(list):
+    """A list that counts the reads of its items."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_ranking_reads_only_the_entries_it_returns_or_skips(n):
+    """10,000 entries on 10 fingerprints: a ranking reads the n entries it
+    returns and the stale ones it skips, and one more that checks the list
+    only grew since the index was built."""
+    import random
+
+    rng = random.Random(n)
+    shapes = [frozenset((i, j, 1) for i in range(4 + j)) for j in range(10)]
+    repo = MemoryRepository(problem_tree_version="ptree", action_tree_version="atree")
+    for i in range(10_000):
+        entry = entry_for(TOY, {"ch_a": "a1", "ch_b": "b1"}, make_fp(shapes[i % 10] | shapes[0]), rng.uniform(0, 100))
+        entry.stale = rng.random() < 0.05
+        repo.entries.append(entry)
+    repo.entries = ReadCountingList(repo.entries)
+    query = make_fp(shapes[3])
+    rank_neighbors(repo, query, n)  # builds the index: one row per distinct fingerprint
+    assert len(repo._index.rows) == 10
+    ranked = sorted(range(len(repo)), key=lambda i: (-jaccard(query, repo.entries[i].problem_fp), -repo.entries[i].reward, i))
+    live = [i for i in ranked if not repo.entries[i].stale][:n]
+    skipped = sum(repo.entries[i].stale for i in ranked[: ranked.index(live[-1])])
+    repo.entries.reads = 0
+    found = rank_neighbors(repo, query, n)
+    assert repo.entries.reads <= n + skipped + 1
+    assert [e for e, _ in found] == [repo.entries[i] for i in live]
+    assert ranking_outcome(rank_neighbors, repo, query, n) == ranking_outcome(rank_neighbors_by_jaccard, repo, query, n)
 
 
 def test_equal_picks_share_their_pairs(tmp_path):

@@ -518,3 +518,31 @@ def test_a_k_that_is_not_auto_or_an_integer_is_a_usage_error(value, tmp_path):
     assert out.returncode == 2, out.stderr
     assert "argument --k" in out.stderr and "Traceback" not in out.stderr
 
+
+
+COUNTED = {
+    "neighbors": (["neighbors", "memory.jsonl", "--problem", "p.fp", "-n"], "argument -n/--count"),
+    "prior": (["prior", "memory.jsonl", "asub.json", "--problem", "p.fp", "--out", "rows.json", "--neighbors"],
+              "argument --neighbors"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("command", COUNTED)
+def test_a_negative_neighbour_count_is_a_usage_error(command, tmp_path):
+    from graft import PriorParams, compile_prior
+
+    argv, option = COUNTED[command]
+    path = _recorded_memory(tmp_path, 2)
+    for value in ("-3", "-1", "abc"):
+        out = run_cli(*argv, value, cwd=tmp_path)
+        assert out.returncode == 2, out.stderr
+        assert option in out.stderr and "at least 0" in out.stderr and "Traceback" not in out.stderr
+        assert out.stdout == "" and not (tmp_path / "rows.json").exists()
+    out = run_cli(*argv, "0", cwd=tmp_path)  # a count of 0 asks for no neighbours
+    assert out.returncode == 0, out.stderr
+    if command == "neighbors":
+        assert out.stdout == ""
+    else:
+        s = io.load_substrate(tmp_path / "asub.json")
+        empty = compile_prior(io.load_memory(path), io.load_fingerprint(tmp_path / "p.fp"), s, PriorParams(0))
+        assert io.load_rows(tmp_path / "rows.json").rows == empty.rows
