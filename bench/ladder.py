@@ -20,7 +20,13 @@ repository keeps, and the load's peak traced bytes.  Two variants time only
 the ranking: ``mem10000-stale`` is the 10^4 rung with the query's top-ranked
 tenth flagged stale, and ``mem10000-distinct`` gives every entry a problem
 fingerprint of its own (a distinct pick on each of the 12 chains), with the
-first entry's as the query.  The smoke run takes both at 10^3 entries.
+first entry's as the query, and ``mem10000-sizes`` draws its problems from
+a pool of 1,000 random sets of 1 to 60 of the 60 options of a 20-chain tree,
+so that they hold many cell counts, against a query of 30 options.  The
+smoke run takes the variants at 10^3 entries.  On ``mem1000`` and
+``mem10000`` the ladder also times ``python -m graft --quiet neighbors`` and
+``prior`` as child processes, start-up included (``cli_neighbors``,
+``cli_prior``).
 
 Each round runs in a fresh child process that imports graft from the
 checkout's ``src/``, makes one warm-up call of every operation, then times
@@ -48,16 +54,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FLAT = (50, 200, 1000)
 MEMORY = (1000, 10_000, 100_000)
-VARIANTS = ("-stale", "-distinct")  # ranking-only rungs
+VARIANTS = ("-stale", "-distinct", "-sizes")  # ranking-only rungs
 OPERATIONS = (
-    "build_substrate", "layout", "sample_method", "method_probability", "rank_neighbors", "compile_prior", "load_memory"
+    "build_substrate", "layout", "sample_method", "method_probability", "rank_neighbors", "compile_prior", "load_memory",
+    "cli_neighbors", "cli_prior",
 )
+CLI = {"mem1000": 5, "mem10000": 3}  # timed child processes of each subcommand per round, on these rungs
 TRACED = ("retained_bytes_per_entry", "load_peak_traced_bytes")  # one traced load per memory rung
 # timed repeats per round: about 2,000 chain-draws' worth, at least 5, on a substrate rung
 REPEATS = {"morning": 400, "50": 40, "200": 10, "1000": 5}
 REPEATS.update({f"mem{n}{v}": reps for n, reps in zip(MEMORY, (400, 100, 20)) for v in ("", *VARIANTS)})
 LOADS = {"mem1000": 20, "mem10000": 5, "mem100000": 3}  # timed loads per round, at least 3
 PROBLEMS, TRIAL = 64, 10  # the memory rungs' problem pool and entries per shared fingerprint
+SIZES = 1000  # the -sizes variant's problem pool
 
 
 def flat_document(chains: int, options: int = 4) -> dict:
@@ -83,23 +92,29 @@ def memory_rung(graft, rung: str):
     import random
 
     rng = random.Random(0)
-    s = graft.build_substrate(graft.graph_from_document(flat_document(12, 3)))
+    size, _, variant = rung.removeprefix("mem").partition("-")
+    s = graft.build_substrate(graft.graph_from_document(flat_document(20 if variant == "sizes" else 12, 3)))
     e = graft.layout(s.tree)
     k = graft.min_injective_k(e)
     draws = [graft.sample_method(s, graft.uniform_rows(s), seed) for seed in range(PROBLEMS + 1)]
     pool = [graft.fingerprint(e, graft.method_path_nodes(s, m), k) for m in draws[1:]]
     methods = [(m, graft.method_path_nodes(s, m)) for m in draws]
-    size, _, variant = rung.removeprefix("mem").partition("-")
+    query = pool[0]
     if variant == "distinct":  # entry i's problem picks option (code // 3^c) % 3 on chain c, each code once
         codes = random.Random(1).sample(range(3 ** len(s.chain_order)), int(size))
         picks = [{c: f"{c}_o{code // 3 ** j % 3}" for j, c in enumerate(s.chain_order)} for code in codes]
         pool = [graft.fingerprint(e, graft.method_path_nodes(s, graft.MethodTuple.from_picks(p)), k) for p in picks]
+        query = pool[0]
+    if variant == "sizes":  # problems of 1 to 60 of the 60 options, so as many cell counts, and a query of 30
+        options = [node for node, kind in s.tree.edge_type.items() if kind is graft.EdgeType.SUBDIVIDES_IN]
+        draw = random.Random(1)
+        pool = [graft.fingerprint(e, draw.sample(options, draw.randint(1, 60)), k) for _ in range(SIZES)]
+        query = graft.fingerprint(e, draw.sample(options, 30), k)
     repo = graft.MemoryRepository(e.tree_version, s.tree_version)
     for i in range(int(size)):
         m, nodes = methods[i % len(methods)]
-        problem = pool[i] if variant == "distinct" else pool[i // TRIAL % PROBLEMS]
+        problem = pool[i] if variant == "distinct" else pool[i // TRIAL % len(pool)]
         repo.entries.append(graft.MemoryEntry(problem, m, nodes, {}, rng.uniform(0.0, 100.0)))
-    query = pool[0]
     if variant == "stale":
         for entry, _ in graft.rank_neighbors(repo, query, len(repo) // 10):
             entry.stale = True
@@ -134,6 +149,29 @@ def memory_load(repo, reps: int) -> dict:
     }
 
 
+def cli_calls(src: str, repo, query, s, reps: int) -> dict:
+    """Median seconds of ``reps`` child processes of ``python -m graft --quiet``
+    ``neighbors`` and ``prior`` on the rung's memory file, start-up included."""
+    import tempfile
+
+    from graft import io
+
+    calls = {
+        "cli_neighbors": ["neighbors", "memory.jsonl", "--problem", "p.fp"],
+        "cli_prior": ["prior", "memory.jsonl", "sub.json", "--problem", "p.fp", "--out", "rows.json"],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        io.save_memory(repo, Path(tmp) / "memory.jsonl")
+        io.save_substrate(s, Path(tmp) / "sub.json")
+        io.save_fingerprint(query, Path(tmp) / "p.fp")
+        env = dict(os.environ, PYTHONPATH=src, GRAFT_WORKSPACE=tmp)
+
+        def run(argv):
+            subprocess.run([sys.executable, "-m", "graft", "--quiet", *argv], env=env, stdout=subprocess.DEVNULL, check=True)
+
+        return {op: _median_time(run, [(argv,)] * (reps + 1)) for op, argv in calls.items()}
+
+
 def _median_time(fn, args: list) -> float:
     fn(*args[0])  # warm-up: imports and per-substrate caches
     times = []
@@ -160,6 +198,8 @@ def worker(src: str, rungs: list[str], scale: float) -> dict:
             if _size(rung) is not None:
                 out[rung]["compile_prior"] = _median_time(graft.compile_prior, [(repo, query, s)] * (reps + 1))
                 out[rung].update(memory_load(repo, max(3, int(LOADS[rung] * scale))))
+            if rung in CLI:
+                out[rung].update(cli_calls(src, repo, query, s, max(3, int(CLI[rung] * scale))))
             continue
         doc = morning_graph_document() if rung == "morning" else flat_document(int(rung))
         graph = graph_from_document(doc)

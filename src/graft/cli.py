@@ -6,9 +6,8 @@ $GRAFT_WORKSPACE when it is set.  Numbers are printed in shortest exact
 round-trip form.
 
 Each handler imports the library calls it makes, so numpy is loaded only
-by the subcommands that draw, rank or project (``sample``, ``prior``,
-``neighbors``, ``loop`` and ``landscape``) and the loop module only by
-``loop``.
+by the subcommands that draw or project (``sample``, ``loop`` and
+``landscape``) and the loop module only by ``loop``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from . import io
 from .embedding import KEEP_ALL, KEEP_S_ONLY
-from .errors import GraftError
+from .errors import EmptyMemoryError, GraftError
 
 
 def _workspace() -> Path:
@@ -218,7 +217,10 @@ def cmd_neighbors(args) -> int:
     from .memory import rank_neighbors
 
     p_fp = io.load_fingerprint(_resolve(args.problem))
-    repo = io.load_memory(_resolve(args.memory))
+    try:
+        repo = io.load_memory(_resolve(args.memory), problem_tree_version=p_fp.tree_tag)
+    except EmptyMemoryError:  # no entries, so no tree versions to check
+        return 0
     ranked = rank_neighbors(repo, p_fp, args.count)
     for entry, sim in ranked:
         picks = {k: v for k, v in entry.method.items}

@@ -67,3 +67,7 @@ class VersionMismatchError(GraftError):
 
 class StalePathError(GraftError):
     """A recorded method path references nodes absent from the current tree."""
+
+
+class EmptyMemoryError(GraftError):
+    """An empty or missing memory file was loaded without the tree versions it needs."""

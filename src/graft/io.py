@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from .build import Substrate, build_substrate, substrate_content_hash
 from .embedding import Embedding, Fingerprint
-from .errors import GraftError, VersionMismatchError
+from .errors import EmptyMemoryError, GraftError, VersionMismatchError
 from .graph import KnowledgeGraph, graph_from_document, graph_to_document
 
 if TYPE_CHECKING:  # imported by the loaders that need them, so other subcommands skip them
@@ -376,7 +376,7 @@ def load_memory(
                 gc.enable()
     if versions is None:
         if problem_tree_version is None or action_tree_version is None:
-            raise GraftError(f"{path}: empty memory needs explicit tree versions")
+            raise EmptyMemoryError(f"{path}: empty memory needs explicit tree versions")
         versions = (problem_tree_version, action_tree_version)
     if problem_tree_version is not None and versions[0] != problem_tree_version:
         raise VersionMismatchError(

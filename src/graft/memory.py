@@ -11,12 +11,13 @@ documented constraints cannot be undone by neighbour evidence.
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_right
+import re
+from bisect import insort
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import chain, filterfalse, islice, repeat
-from operator import attrgetter
-from typing import TYPE_CHECKING
+from operator import and_, attrgetter
+from struct import pack
 
 from .build import Substrate, build_substrate
 from .embedding import Fingerprint, jaccard
@@ -32,11 +33,9 @@ from .policy import (
 )
 from .reduction import FactoredTree
 
-if TYPE_CHECKING:
-    import numpy as np
-
 R_MAX = 100.0
 _stale = attrgetter("stale")
+_TOP, _INDEX = 1 << 63, (1 << 64) - 1  # an order key holds the reward's bits, and the entry index below them
 
 
 @dataclass(slots=True)
@@ -63,128 +62,129 @@ def check_observables(observables: dict[str, float]) -> None:
             raise ValueError(f"observable {key!r} must be a number, found {type(value).__name__}")
 
 
+def _rows(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
+
+
+def _level(steps: list[tuple[int, int]], q: int, c: int, rows: int) -> tuple[float, int, int, int]:
+    """The best level of ``rows`` of c cells against q query cells: (negated similarity,
+    c, the rows at it, the rows below), by a descent over the (bit, plane) steps."""
+    inter, top = 0, rows
+    for bit, plane in steps:
+        if hit := top & plane:
+            top, inter = hit, inter | bit
+    return -(inter / (c + q - inter)), c, top, rows ^ top  # small integers: rounds as jaccard's quotient
+
+
 class _NeighborIndex:
     """One row per distinct problem fingerprint, for exact Jaccard ranking.
 
-    Every distinct cell ``(x, y, depth)`` is interned to a bit position, at
-    any resolution.  A row holds a fingerprint's cells as uint64 words,
-    beside its cell count and a small id for its ``(tree_tag, resolution)``,
-    or for emptiness; equal fingerprints share a row.  Beside each row, the
-    indices of its entries are kept by reward desc, then index asc, with
-    their negated rewards, so a ranking scores the rows and reads only the
-    entries it returns or skips.  Rows and entries are only ever added.
-    Stale flags are not copied: a ranking reads them from those entries.
+    Row r is bit r of a Python int.  Each distinct cell ``(x, y, depth)``, each
+    cell count and each ``(tree_tag, resolution)`` has the mask of its rows;
+    empty fingerprints are the group ``None``.  Equal fingerprints share a row.
+    Beside each row, its entries' order keys are kept ascending, so a ranking
+    scores the rows and reads only the entries it returns or skips.  Rows and
+    entries are only ever added.  Stale flags are not copied: a ranking reads
+    them from those entries.
     """
 
     def __init__(self) -> None:
         self.entries: list[MemoryEntry] | None = None  # the list indexed
         self.n = 0
         self.last: MemoryEntry | None = None  # entries[n - 1] when it was indexed
-        self.bits: dict[tuple[int, int, int], int] = {}
+        self.cells: dict[tuple[int, int, int], int] = {}  # cell -> mask of the rows holding it
+        self.counts: dict[int, int] = {}  # cell count -> mask of its rows
         self.groups: dict[tuple[str, int] | None, int] = {}  # None holds the empty fingerprints
         self.rows: dict[Fingerprint, int] = {}
-        self.keys: list[array] = []  # per row: its members' negated rewards, ascending
-        self.members: list[array] = []  # per row: entry indices, by reward desc then index asc
-        self.words, self.count, self.group = None, (), ()  # numpy columns over the rows; counts and ids in float64
+        self.order: list[list[int]] = []  # per row: its members' order keys, ascending
 
     def covers_prefix_of(self, entries: list[MemoryEntry]) -> bool:
         """Whether ``entries`` is the list indexed, grown only at its end."""
         n = self.n
         return n == 0 or (entries is self.entries and len(entries) >= n and entries[n - 1] is self.last)
 
-    def _mask(self, cells) -> int:
-        """The bits of distinct ``cells``, interning the cells not seen before."""
-        return sum(1 << self.bits.setdefault(cell, len(self.bits)) for cell in cells)
-
-    def _words(self, masks, width: int) -> np.ndarray:
-        import numpy as np
-
-        return np.frombuffer(b"".join(m.to_bytes(8 * width, "little") for m in masks), dtype="<u8").reshape(-1, width)
-
     def extend(self, entries: list[MemoryEntry]) -> None:
         """Index ``entries[n:]``: a row for each fingerprint not seen before, and
         each entry into its row's order."""
-        import numpy as np
-
         self.entries, start = entries, self.n
         if len(entries) == start:
             return
-        blocks: dict[int, list[tuple[float, int]]] = {}  # row -> (negated reward, index) of its new entries
-        rows = []  # (cell mask, cell count, group id) of the rows made here
+        blocks: dict[int, list[int]] = {}  # row -> the order keys of its new entries
+        made: dict[tuple[int, object], list[int]] = {}  # (kind, key) -> the rows made here under that mask
         for i, entry in enumerate(entries[start:], start):
             fp = entry.problem_fp
             row = self.rows.get(fp)
             if row is None:
                 row = self.rows[fp] = len(self.rows)
-                group = self.groups.setdefault((fp.tree_tag, fp.resolution) if fp.cells else None, len(self.groups))
-                rows.append((self._mask(fp.cells), len(fp.cells), group))
-                self.keys.append(array("d"))
-                self.members.append(array("q"))
-            blocks.setdefault(row, []).append((-entry.reward, i))
+                group = (fp.tree_tag, fp.resolution) if fp.cells else None
+                for kind_key in [*((0, cell) for cell in fp.cells), (1, len(fp.cells)), (2, group)]:
+                    made.setdefault(kind_key, []).append(row)
+                self.order.append([])
+            # sorts as (reward desc, index asc): a float's bits grow with it, and + 0.0 makes -0.0 0.0
+            raw = int.from_bytes(pack("<d", entry.reward + 0.0), "little")
+            blocks.setdefault(row, []).append((_TOP - raw) << 64 | i)
         for row, block in blocks.items():
-            keys, members = self.keys[row], self.members[row]
-            if keys and len(block) <= 32:  # a few appends: each moves the row in C, where a sort makes tuples of it
-                for key, i in block:  # i is above every member's index, so it goes after equal rewards
-                    at = bisect_right(keys, key)
-                    keys.insert(at, key)
-                    members.insert(at, i)
+            order = self.order[row]
+            if order and len(block) <= 32:  # a few appends: each moves the row in C, where a sort compares it all
+                for key in block:
+                    insort(order, key)
             else:  # a new row, or a bulk build such as the first ranking after a load, is sorted once
-                merged = sorted([*zip(keys, members), *block])
-                self.keys[row] = array("d", [k for k, _ in merged])
-                self.members[row] = array("q", [i for _, i in merged])
-        if rows:
-            masks, counts, groups = zip(*rows)
-            width = -(-len(self.bits) // 64) or 1
-            old = np.zeros((0, width), dtype=np.uint64) if self.words is None else self.words
-            old = np.pad(old, ((0, 0), (0, width - old.shape[1])))
-            self.words = np.concatenate([old, self._words(masks, width)])
-            self.count, self.group = np.concatenate([self.count, counts]), np.concatenate([self.group, groups])
+                order += block
+                order.sort()
+        for (kind, key), rows in made.items():  # each mask grows by one int, built in a bytearray
+            bits, masks = bytearray(rows[-1] // 8 + 1), (self.cells, self.counts, self.groups)[kind]
+            for row in rows:
+                bits[row >> 3] |= 1 << (row & 7)
+            masks[key] = masks.get(key, 0) | int.from_bytes(bits, "little")
         self.n, self.last = len(entries), entries[-1]
 
     def rank(self, p_new: Fingerprint, n: int) -> list[tuple[MemoryEntry, float]]:
-        import numpy as np
-
         entries = self.entries
         if not self.rows:
             return []
-        group = self.groups.get((p_new.tree_tag, p_new.resolution), -1) if p_new.cells else -1
-        bad = np.flatnonzero(self.group != group).tolist()
+        good = self.groups.get((p_new.tree_tag, p_new.resolution), 0) if p_new.cells else 0
+        bad = chain(*map(self.order.__getitem__, _rows(((1 << len(self.rows)) - 1) ^ good)))
         # the first entry not stale, in index order, raises jaccard's error and its message
-        for entry in filterfalse(_stale, map(entries.__getitem__, sorted(chain(*map(self.members.__getitem__, bad))))):
+        for entry in filterfalse(_stale, map(entries.__getitem__, sorted(map(and_, bad, repeat(_INDEX))))):
             jaccard(p_new, entry.problem_fp)
-        if not p_new.cells:
+        if not good:
             return []  # every entry is stale
-        query = self._words([self._mask(c for c in p_new.cells if c in self.bits)], self.words.shape[1])[0]
-        inter = np.bitwise_count(self.words & query).sum(axis=1, dtype=np.float64)
-        # counts are small integers, exact in float64, so this division rounds as jaccard's does
-        sim = inter / (self.count + len(p_new.cells) - inter)
-        sim[bad] = -np.inf  # their entries are all stale
+        # bit-sliced sum of the query cells' masks: plane j holds bit j of each row's intersection count
+        planes: list[int] = []
+        for carry in filter(None, map(self.cells.get, p_new.cells)):
+            for j, plane in enumerate(planes):
+                planes[j], carry = plane ^ carry, plane & carry
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        q, steps = len(p_new.cells), [(1 << j, planes[j]) for j in range(len(planes) - 1, -1, -1)]  # high bit first
+        # a heap of similarity levels: per cell count c, its best level's rows and the rows below
+        levels = [_level(steps, q, c, rows) for c, rows in ((c, m & good) for c, m in self.counts.items()) if rows]
+        heapify(levels)
         found: list[tuple[MemoryEntry, float]] = []
-        while len(found) < n:  # one similarity level at a time, from the top
-            top = sim.max()
-            if top == -np.inf:
-                break
-            tied = np.flatnonzero(sim == top).tolist()
-            sim[tied] = -np.inf
-            order = self.members[tied[0]] if len(tied) == 1 else chain.from_iterable(self._merged(tied, n - len(found)))
-            live = filterfalse(_stale, map(entries.__getitem__, order))
-            found += zip(islice(live, n - len(found)), repeat(float(top)))
+        while levels and len(found) < n:  # one similarity level at a time, from the top
+            neg, tied = levels[0][0], 0
+            while levels and levels[0][0] == neg:
+                _, c, top, rest = heappop(levels)
+                tied |= top
+                if rest:  # their intersections are below this level's, so their level is too
+                    heappush(levels, _level(steps, q, c, rest))
+            tied = _rows(tied)
+            order = self.order[tied[0]] if len(tied) == 1 else chain.from_iterable(self._merged(tied, n - len(found)))
+            live = filterfalse(_stale, map(entries.__getitem__, map(and_, order, repeat(_INDEX))))
+            found += zip(islice(live, n - len(found)), repeat(-neg))
         return found
 
     def _merged(self, rows: list[int], c: int):
-        """The members of several rows by reward desc, then index asc, in runs.  The
-        first c of the union of each row's first c are the first c of the merge, so
-        each run sorts that union, c growing fourfold until it covers every row."""
-        import numpy as np
-
-        longest, done = max(len(self.members[row]) for row in rows), 0
-        while done is not None:
-            keys = np.frombuffer(b"".join(self.keys[row][:c] for row in rows))
-            members = np.frombuffer(b"".join(self.members[row][:c] for row in rows), dtype=np.int64)
-            stop = c if c < longest else None
-            # a complex number sorts by its real part, then its imaginary part
-            yield members[np.argsort(keys + 1j * members)][done:stop].tolist()
-            done, c = stop, 4 * c
+        """The order keys of several rows, ascending, in two runs.  The first c of
+        the union of each row's first c are the first c of the merge; one sort of
+        every key gives the rest."""
+        order = self.order
+        yield sorted(chain.from_iterable(order[r][:c] for r in rows))[:c]
+        if sum(len(order[r]) for r in rows) > c:
+            yield islice(sorted(chain.from_iterable(map(order.__getitem__, rows))), c, None)
 
 
 @dataclass

@@ -374,6 +374,44 @@ def test_index_ranks_as_jaccard_over_equal_fingerprints(data):
             )
 
 
+# -- levels that span cell counts ----------------------------------------------------
+
+QUERY = sorted((i, 0, 1) for i in range(6))
+OUTSIDE = [(i, 1, 1) for i in range(8)]  # cells off the query
+UNHELD = [(i, 2, 1) for i in range(2)]  # query cells that no entry holds
+GROUPS = [("ptree", 64)] * 6 + [("other", 64), ("ptree", 32)]  # the last two raise when live
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_index_ranks_as_jaccard_across_cell_counts(data):
+    """An entry holds i query cells and e others, so its similarity is i / (e + q);
+    half the time e = 2i - q, which puts it at 1/2 whatever its cell count
+    (3/6 = 4/8 = 5/10 ...).  The query may hold cells no row holds, live rows
+    of another (tree_tag, resolution) raise in index order, stale entries sit
+    inside levels, and n runs past the live entries."""
+    query = make_fp(set(QUERY) | set(UNHELD[: data.draw(st.integers(0, len(UNHELD)))]))
+    q = len(query.cells)
+    groups = GROUPS if data.draw(st.booleans()) else GROUPS[:1]
+    repo = MemoryRepository(problem_tree_version="ptree", action_tree_version="atree")
+    for _ in range(data.draw(st.integers(1, 3))):  # batches between rankings
+        for _ in range(data.draw(st.integers(1, 12))):
+            i = data.draw(st.integers(0, len(QUERY)))
+            e = 2 * i - q if 2 * i >= q and data.draw(st.booleans()) else data.draw(st.integers(int(i == 0), 6))
+            cells = data.draw(st.sets(st.sampled_from(QUERY), min_size=i, max_size=i))
+            cells |= data.draw(st.sets(st.sampled_from(OUTSIDE), min_size=e, max_size=e))
+            tag, k = data.draw(st.sampled_from(groups))
+            fp, reward = make_fp(cells, tag=tag, k=k), data.draw(st.sampled_from(REWARDS))
+            entry = entry_for(TOY, {"ch_a": "a1", "ch_b": "b1"}, fp, reward)
+            entry.stale = data.draw(st.booleans())
+            repo.entries.append(entry)
+        live = sum(not entry.stale for entry in repo.entries)
+        for n in (1, 3, live + 1, len(repo) + 3):
+            assert ranking_outcome(rank_neighbors, repo, query, n) == ranking_outcome(
+                rank_neighbors_by_jaccard, repo, query, n
+            )
+
+
 class ReadCountingList(list):
     """A list that counts the reads of its items."""
 

@@ -546,3 +546,21 @@ def test_a_negative_neighbour_count_is_a_usage_error(command, tmp_path):
         s = io.load_substrate(tmp_path / "asub.json")
         empty = compile_prior(io.load_memory(path), io.load_fingerprint(tmp_path / "p.fp"), s, PriorParams(0))
         assert io.load_rows(tmp_path / "rows.json").rows == empty.rows
+
+
+@pytest.mark.parametrize("memory", ["empty", "blank-lines", "missing"])
+def test_neighbors_on_an_empty_or_missing_memory_prints_nothing(memory, tmp_path):
+    _file_holding("", [], "")(tmp_path)  # p.fp
+    if memory != "missing":
+        (tmp_path / "memory.jsonl").write_text("" if memory == "empty" else "\n \n")
+    out = run_cli("neighbors", "memory.jsonl", "--problem", "p.fp", cwd=tmp_path)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+
+
+@pytest.mark.parametrize("stale", [False, True])
+def test_neighbors_refuses_a_memory_of_another_problem_tree(stale, tmp_path):
+    _file_holding("", [], "")(tmp_path)  # p.fp, of tree "t"
+    (tmp_path / "memory.jsonl").write_text(_memory_line(problem_tree_version="u", tree_tag="u", stale=stale))
+    out = run_cli("neighbors", "memory.jsonl", "--problem", "p.fp", cwd=tmp_path)
+    assert_one_error_line(out)
+    assert "does not match" in out.stderr and out.stdout == ""

@@ -20,7 +20,7 @@ from graft.memory import MemoryEntry, MemoryRepository
 from graft.policy import method_path_nodes, sample_method
 
 from oracles import min_injective_k_numpy, random_substrate_document, random_tree_document
-from test_robustness import nesting_chain_document, s_chain_document
+from test_robustness import _loop_workdir, nesting_chain_document, s_chain_document
 
 # graft.cli.main in a child process, then whether numpy got loaded
 CHILD = """
@@ -73,6 +73,8 @@ NUMPY_FREE = {
     "footprint": ["footprint", "sub.json"],
     "record": ["record", "memory.jsonl", "--substrate", "sub.json", "--problem", "p.fp", "--method", "m.json",
                "--reward", "7"],
+    "prior": ["prior", "memory.jsonl", "sub.json", "--problem", "p.fp", "--out", "prior.json"],
+    "neighbors": ["neighbors", "memory.jsonl", "--problem", "p.fp"],
 }  # fmt: skip
 
 
@@ -105,6 +107,14 @@ def test_subcommand_runs_without_memory_or_policy(kind, workspace):
 def test_sample_loads_numpy(workspace):
     # the draw runs on numpy's PCG64
     assert run_child(["sample", "sub.json", "--rows", "rows.json", "--seed", "0"], workspace) == "numpy loaded: True"
+
+
+def test_loop_loads_numpy(workspace):
+    # each trial draws through numpy's PCG64
+    _loop_workdir(workspace, morning_graph_document())
+    argv = ["loop", "asub.json", "loop.jsonl", "--env-spec", "env.json", "--budget", "1", "--seed", "0",
+            "--out", "report.jsonl"]  # fmt: skip
+    assert run_child(argv, workspace) == "numpy loaded: True"
 
 
 def test_importing_the_package_and_the_cli_loads_neither_numpy_nor_the_loop():
