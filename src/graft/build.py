@@ -2,8 +2,10 @@
 
 The chain dependency graph H collects rule-induced edges (trigger chain to
 target chain) and structural-nesting edges (enclosing chain to nested
-chain).  A chain's level is its longest-path length in H, computed by one
-Kahn topological sort; sampling later proceeds level by level.
+chain).  One depth-first search of H either finds a cycle, which fails the
+build with a witness, or yields a topological order; a chain's level is its
+longest-path length in H, read along that order.  Sampling later proceeds
+level by level.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BuildError
-from .graph import KnowledgeGraph, Rule
+from .graph import KnowledgeGraph, Rule, depth_first
 from .reduction import ChainIndex, FactoredTree, extract_chains, reduce_to_tree
 
 
@@ -139,8 +141,11 @@ class Substrate:
 
     def members_below(self, node: str, chain_id: str) -> frozenset[str]:
         """Alphabet members of a chain lying at or below ``node``."""
-        alphabet = self.chains.chains[chain_id].alphabet
-        return frozenset(a for a in alphabet if self.tree.is_ancestor_or_self(node, a))
+        return _members_below(self.tree, self.chains, node, chain_id)
+
+
+def _members_below(tree: FactoredTree, ci: ChainIndex, node: str, chain_id: str) -> frozenset[str]:
+    return frozenset(a for a in ci.chains[chain_id].alphabet if tree.is_ancestor_or_self(node, a))
 
 
 def expand_rules(ci: ChainIndex, rules: tuple[Rule, ...]) -> DependencyGraph:
@@ -171,56 +176,37 @@ def expand_rules(ci: ChainIndex, rules: tuple[Rule, ...]) -> DependencyGraph:
     )
 
 
-def _kahn(h: DependencyGraph) -> tuple[dict[str, int], list[str]]:
-    """Kahn's topological sort: the longest-path level of every vertex it
-    orders, and the vertices left over (on a cycle or downstream of one)."""
+def assign_levels(h: DependencyGraph) -> LevelMap:
+    """Longest-path level of every chain, from one depth-first search.
+
+    Successors follow ``sorted(h.edges)``, so on a cycle the witness does not
+    depend on hash order.
+    """
     successors: dict[str, list[str]] = {v: [] for v in h.vertices}
-    indegree = {v: 0 for v in h.vertices}
-    for a, b in h.edges:
+    for a, b in sorted(h.edges):
         successors[a].append(b)
-        indegree[b] += 1
+    postorder, back_edges, parent = depth_first(h.vertices, successors)
+    if back_edges:
+        tail, head = back_edges[0]
+        cycle = [tail]
+        while cycle[-1] != head:
+            cycle.append(parent[cycle[-1]])
+        witness = CycleWitness(frozenset(cycle))
+        raise BuildError("cycle", f"dependency cycle through chains {sorted(witness.chains)}", witness=witness)
     level = {v: 0 for v in h.vertices}
-    ready = [v for v in h.vertices if indegree[v] == 0]
-    for a in ready:  # grows while it is walked
+    for a in reversed(postorder):  # a topological order
         for b in successors[a]:
             level[b] = max(level[b], level[a] + 1)
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                ready.append(b)
-    return level, [v for v in h.vertices if indegree[v] > 0]
+    return LevelMap(level)
 
 
 def check_acyclic(h: DependencyGraph) -> CycleWitness | None:
-    """The chains of one cycle, or None when acyclic.
-
-    Every vertex Kahn leaves over keeps a left-over predecessor, so walking
-    back through those from the first one must repeat a vertex; the stretch
-    between the two visits is a cycle.
-    """
-    _, left = _kahn(h)
-    if not left:
-        return None
-    left_set = set(left)
-    predecessor: dict[str, str] = {}
-    for a, b in sorted(h.edges):
-        if a in left_set and b in left_set:
-            predecessor.setdefault(b, a)
-    path = [left[0]]
-    position = {left[0]: 0}
-    while True:
-        v = predecessor[path[-1]]
-        if v in position:
-            return CycleWitness(frozenset(path[position[v] :]))
-        position[v] = len(path)
-        path.append(v)
-
-
-def assign_levels(h: DependencyGraph) -> LevelMap:
-    """Longest-path level of every chain, from one Kahn pass."""
-    level, left = _kahn(h)
-    if left:
-        raise BuildError("levels", "assign_levels called on a cyclic dependency graph")
-    return LevelMap(level)
+    """The chains of one cycle, or None when acyclic."""
+    try:
+        assign_levels(h)
+    except BuildError as exc:
+        return exc.witness
+    return None
 
 
 def _structurally_certain_chain(tree: FactoredTree, ci: ChainIndex, chain_id: str) -> bool:
@@ -237,16 +223,8 @@ def _compile_rules(
     for i, rule in enumerate(graph.rules):
         target_chain = ci.enclosing[next(iter(rule.target))]
         alphabet = ci.chains[target_chain].alphabet
-        slice_members = frozenset(
-            a for a in alphabet if any(tree.is_ancestor_or_self(g, a) for g in rule.target)
-        )
-        triggers = []
-        for t in sorted(rule.trigger):
-            chain = ci.enclosing[t]
-            allowed = frozenset(
-                a for a in ci.chains[chain].alphabet if tree.is_ancestor_or_self(t, a)
-            )
-            triggers.append((chain, allowed))
+        slice_members = frozenset().union(*(_members_below(tree, ci, g, target_chain) for g in rule.target))
+        triggers = [(ci.enclosing[t], _members_below(tree, ci, t, ci.enclosing[t])) for t in sorted(rule.trigger)]
         eligible = all(
             chain != target_chain and levels[chain] < levels[target_chain] for chain, _ in triggers
         )
@@ -281,19 +259,12 @@ def substrate_content_hash(graph_document: dict) -> str:
 
 
 def build_substrate(g: KnowledgeGraph) -> Substrate:
-    """Run the full build: validate and reduce, chain, expand, check, level."""
+    """Run the full build: validate and reduce, chain, expand, level (refusing a cycle)."""
     from .graph import graph_to_document
 
     tree = reduce_to_tree(g)
     ci = extract_chains(tree)
     dep = expand_rules(ci, g.rules)
-    witness = check_acyclic(dep)
-    if witness is not None:
-        raise BuildError(
-            "cycle",
-            f"dependency cycle through chains {sorted(witness.chains)}",
-            witness=witness,
-        )
     levels = assign_levels(dep)
     rules = _compile_rules(g, tree, ci, levels)
 

@@ -37,8 +37,8 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _load_substrate_for(args, attribute="substrate"):
-    return io.load_substrate(_resolve(getattr(args, attribute)))
+def _load_substrate_for(args):
+    return io.load_substrate(_resolve(args.substrate))
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -256,7 +256,7 @@ def cmd_loop(args) -> int:
             "substrate does not match the environment's action tree "
             f"({s.version} vs {env.action_substrate.version})"
         )
-    indices = range(len(env.problems)) if args.problems == "all" else [int(args.problems)]
+    indices = range(len(env.problems)) if args.problems == "all" else [args.problems]
     if not all(0 <= i < len(env.problems) for i in indices):
         raise GraftError(f"--problems {args.problems} is not a problem index (0 to {len(env.problems) - 1})")
     repo = io.load_memory(
@@ -329,14 +329,18 @@ def cmd_footprint(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _resolution(text: str) -> int | str:
-    """--k's value: 'auto' or an integer; the range is checked where the fingerprint is made."""
-    if text == "auto":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, found {text!r}") from None
+def _word_or_integer(word: str):
+    """An option type taking ``word`` itself or an integer; the range is checked where the value is used."""
+
+    def parse(text: str) -> int | str:
+        if text == word:
+            return text
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {word!r} or an integer, found {text!r}") from None
+
+    return parse
 
 
 def _count(text: str) -> int:
@@ -378,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fingerprint", help="fingerprint a node path")
     p.add_argument("substrate")
     p.add_argument("--path", required=True, help="comma-separated node ids")
-    p.add_argument("--k", type=_resolution, default="auto", help="grid resolution or 'auto' for the minimum injective K")
+    p.add_argument(
+        "--k", type=_word_or_integer("auto"), default="auto", help="grid resolution or 'auto' for the minimum injective K"
+    )
     p.add_argument("--keep", choices=[KEEP_S_ONLY, KEEP_ALL], default=KEEP_S_ONLY)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_fingerprint)
@@ -431,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env-spec", required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--problems", default="all", help="'all' or one problem index")
+    p.add_argument("--problems", type=_word_or_integer("all"), default="all", help="'all' or one problem index")
     p.add_argument("--out", required=True, help="per-iteration JSONL report")
     p.set_defaults(handler=cmd_loop)
 
@@ -461,10 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except GraftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, KeyError, ValueError) as exc:
+    except (GraftError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

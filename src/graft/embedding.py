@@ -236,8 +236,6 @@ def landscape_export(
     problem_embedding: Embedding,
     action_embedding: Embedding,
     observable: str,
-    *,
-    resolution: int = VISUALIZATION_K,
 ) -> LandscapeTable:
     """One (problem PCA, method PCA, observable) row per memory entry.
 
@@ -267,14 +265,14 @@ def landscape_export(
             nodes = [table[c] for c in fp.cells]
         except KeyError as exc:
             raise FingerprintError(f"stale problem fingerprint cell {exc.args[0]}") from exc
-        problem_sets.append(frozenset(bin_cell(problem_embedding, n, resolution) for n in nodes))
+        problem_sets.append(frozenset(bin_cell(problem_embedding, n, VISUALIZATION_K) for n in nodes))
 
     method_sets = []
     for entry in entries:
         kept = [n for n in entry.method_path_nodes if action_embedding.entered_by.get(n) == "s"]
         if not kept:
             raise FingerprintError("entry method path has no s-entered nodes")
-        method_sets.append(frozenset(bin_cell(action_embedding, n, resolution) for n in kept))
+        method_sets.append(frozenset(bin_cell(action_embedding, n, VISUALIZATION_K) for n in kept))
 
     xs, degenerate_p = first_principal_coordinates(_indicator_matrix(problem_sets))
     ys, degenerate_m = first_principal_coordinates(_indicator_matrix(method_sets))

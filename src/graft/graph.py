@@ -73,6 +73,16 @@ def _check_node_id(value) -> str:
     return value
 
 
+def _listed(value, what: str) -> list:
+    _require(isinstance(value, list), f"{what} must be a list")
+    return value
+
+
+def _known(end, seen: set[str], where: str) -> str:
+    _require(isinstance(end, str) and end in seen, f"unknown NodeId {end!r} in {where}")
+    return end
+
+
 def graph_from_document(doc: dict) -> KnowledgeGraph:
     """Build a KnowledgeGraph from a parsed document mapping."""
     _require(isinstance(doc, dict), "graph document must be a mapping")
@@ -82,7 +92,7 @@ def graph_from_document(doc: dict) -> KnowledgeGraph:
     nodes: list[str] = []
     hints: dict[str, str] = {}
     seen: set[str] = set()
-    for item in doc["nodes"]:
+    for item in _listed(doc["nodes"], "field 'nodes'"):
         if isinstance(item, str):
             node_id, hint = _check_node_id(item), None
         else:
@@ -100,31 +110,24 @@ def graph_from_document(doc: dict) -> KnowledgeGraph:
     _require(root in seen, f"root {root!r} is not a declared node")
 
     edges: list[tuple[str, str, EdgeType]] = []
-    for item in doc.get("edges", ()):
-        _require(
-            isinstance(item, dict) and {"parent", "child", "type"} <= set(item),
-            f"bad edge entry {item!r}",
-        )
-        parent, child = item["parent"], item["child"]
-        for end in (parent, child):
-            _require(end in seen, f"unknown NodeId {end!r} in edge")
+    for item in _listed(doc.get("edges", []), "field 'edges'"):
+        _require(isinstance(item, dict) and {"parent", "child", "type"} <= set(item), f"bad edge entry {item!r}")
+        parent, child = (_known(item[end], seen, "edge") for end in ("parent", "child"))
         _require(item["type"] in ("c", "s"), f"unknown edge type {item['type']!r}")
         edges.append((parent, child, EdgeType(item["type"])))
 
     canonical: dict[str, str] = {}
-    for node_id, parent in doc.get("canonical_parent", {}).items():
-        _require(node_id in seen, f"unknown NodeId {node_id!r} in canonical_parent")
-        _require(parent in seen, f"unknown NodeId {parent!r} in canonical_parent")
-        canonical[node_id] = parent
+    canonical_doc = doc.get("canonical_parent", {})
+    _require(isinstance(canonical_doc, dict), "field 'canonical_parent' must be an object")
+    for node_id, parent in canonical_doc.items():
+        canonical[_known(node_id, seen, "canonical_parent")] = _known(parent, seen, "canonical_parent")
 
     rules: list[Rule] = []
-    for item in doc.get("rules", ()):
-        _require(
-            isinstance(item, dict) and {"trigger", "target", "effect"} <= set(item),
-            f"bad rule entry {item!r}",
-        )
-        for end in list(item["trigger"]) + list(item["target"]):
-            _require(end in seen, f"unknown NodeId {end!r} in rule")
+    for item in _listed(doc.get("rules", []), "field 'rules'"):
+        _require(isinstance(item, dict) and {"trigger", "target", "effect"} <= set(item), f"bad rule entry {item!r}")
+        for key in ("trigger", "target"):
+            for end in _listed(item[key], f"rule field {key!r}"):
+                _known(end, seen, "rule")
         _require(item["effect"] in EFFECTS, f"unknown rule effect {item['effect']!r}")
         rules.append(
             Rule(
@@ -186,76 +189,85 @@ def serialize_graph(g: KnowledgeGraph) -> str:
     return json.dumps(graph_to_document(g), indent=2, sort_keys=True) + "\n"
 
 
-def validate_graph(g: KnowledgeGraph) -> ValidationReport:
-    """Check the structural invariants a substrate build relies on.
+def depth_first(vertices, successors) -> tuple[list[str], list[tuple[str, str]], dict[str, str]]:
+    """Iterative three-colour depth-first search (Tarjan 1972).
 
-    Violations are report entries, never exceptions; an empty report means
-    the graph is reachable-acyclic with uniform-typed children and coherent
-    canonical_parent/rule references.
+    Starts from each unvisited vertex in ``vertices`` order and follows each
+    ``successors`` list in its order.  Returns the postorder, whose reverse is
+    a topological order when there is no back edge; the back edges
+    ``(tail, head)`` in the order met; and the search tree's parent links.
+    A back edge closes the cycle that climbs those links from its tail to
+    its head.
     """
+    grey: dict[str, bool] = {}  # the visited vertices: True while on the search path
+    parent: dict[str, str] = {}
+    postorder: list[str] = []
+    back_edges: list[tuple[str, str]] = []
+    for start in vertices:
+        if start in grey:
+            continue
+        grey[start] = True
+        stack = [(start, iter(successors[start]))]
+        while stack:
+            u, todo = stack[-1]
+            for v in todo:
+                if v not in grey:
+                    grey[v] = True
+                    parent[v] = u
+                    stack.append((v, iter(successors[v])))
+                    break
+                if grey[v]:
+                    back_edges.append((u, v))
+            else:
+                stack.pop()
+                grey[u] = False
+                postorder.append(u)
+    return postorder, back_edges, parent
+
+
+def _survey(g: KnowledgeGraph) -> tuple[ValidationReport, dict[str, list[tuple[str, EdgeType]]], dict[str, int]]:
+    """One pass over the graph: the validation report, each node's incoming
+    ``(parent, edge type)`` pairs in edge order, and the breadth-first
+    distance from the root of every reachable node."""
     violations: list[Violation] = []
     node_set = set(g.nodes)
 
-    children: dict[str, list[tuple[str, EdgeType]]] = {n: [] for n in g.nodes}
+    children: dict[str, list[str]] = {n: [] for n in g.nodes}
+    kinds: dict[str, set[EdgeType]] = {n: set() for n in g.nodes}
     parents: dict[str, list[tuple[str, EdgeType]]] = {n: [] for n in g.nodes}
     seen_pairs: set[tuple[str, str]] = set()
     for p, c, t in g.edges:
         if (p, c) in seen_pairs:
             violations.append(Violation("duplicate-edge", f"{p}->{c}", f"duplicate edge {p} -> {c}"))
         seen_pairs.add((p, c))
-        children[p].append((c, t))
+        children[p].append(c)
+        kinds[p].add(t)
         parents[c].append((p, t))
 
     # uniform-children: all outgoing edges of a node share one type
     for n in g.nodes:
-        kinds = {t for _, t in children[n]}
-        if len(kinds) > 1:
+        if len(kinds[n]) > 1:
             violations.append(Violation("mixed-children", n, f"mixed children at {n}"))
 
-    # reachability from root (over directed edges)
-    reached = {g.root}
+    # reachability and distance from the root (over directed edges)
+    depth = {g.root: 0}
     frontier = [g.root]
-    while frontier:
-        nxt = []
-        for n in frontier:
-            for c, _ in children[n]:
-                if c not in reached:
-                    reached.add(c)
-                    nxt.append(c)
-        frontier = nxt
+    for n in frontier:  # grows while it is walked
+        for c in children[n]:
+            if c not in depth:
+                depth[c] = depth[n] + 1
+                frontier.append(c)
     for n in g.nodes:
-        if n not in reached:
+        if n not in depth:
             violations.append(Violation("unreachable", n, f"unreachable node {n}"))
 
-    # cycle detection (iterative three-color DFS)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in g.nodes}
-    for start in g.nodes:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        color[start] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            kids = children[node]
-            if idx < len(kids):
-                stack[-1] = (node, idx + 1)
-                child = kids[idx][0]
-                if color[child] == GRAY:
-                    violations.append(Violation("cycle", child, f"cycle through {child}"))
-                elif color[child] == WHITE:
-                    color[child] = GRAY
-                    stack.append((child, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
+    for _, head in depth_first(g.nodes, children)[1]:
+        violations.append(Violation("cycle", head, f"cycle through {head}"))
 
     # canonical_parent entries must name an actual incoming edge
     for n, p in g.canonical_parent.items():
         if p not in {q for q, _ in parents.get(n, [])}:
-            violations.append(
-                Violation("bad-canonical-parent", n, f"canonical_parent of {n} names non-parent {p}")
-            )
+            violations.append(Violation("bad-canonical-parent", n, f"canonical_parent of {n} names non-parent {p}"))
 
     # root must not be edge-entered
     if parents.get(g.root):
@@ -270,4 +282,14 @@ def validate_graph(g: KnowledgeGraph) -> ValidationReport:
             if end not in node_set:
                 violations.append(Violation("unknown-rule-node", end, f"rule {r.hint!r} references unknown {end}"))
 
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations)), parents, depth
+
+
+def validate_graph(g: KnowledgeGraph) -> ValidationReport:
+    """Check the structural invariants a substrate build relies on.
+
+    Violations are report entries, never exceptions; an empty report means
+    the graph is reachable-acyclic with uniform-typed children and coherent
+    canonical_parent/rule references.
+    """
+    return _survey(g)[0]

@@ -204,13 +204,9 @@ def _fingerprint_fields(payload: dict) -> tuple:
     return frozenset(map(tuple, payload["cells"])), payload["resolution"], payload["tree_tag"], payload["keep"]
 
 
-def fingerprint_from_payload(payload: dict) -> Fingerprint:
-    return Fingerprint(*_fingerprint_fields(payload))
-
-
 def load_fingerprint(path: str | Path) -> Fingerprint:
     payload = load_object(path, FINGERPRINT_FORMAT, FINGERPRINT_FIELDS)
-    return fingerprint_from_payload(_object(path, payload, kinds=FINGERPRINT_KINDS))
+    return Fingerprint(*_fingerprint_fields(_object(path, payload, kinds=FINGERPRINT_KINDS)))
 
 
 # -- method tuples -----------------------------------------------------------

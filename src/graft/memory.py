@@ -22,7 +22,7 @@ from struct import pack
 from .build import Substrate, build_substrate
 from .embedding import Fingerprint, jaccard
 from .errors import GraftError, StalePathError, VersionMismatchError
-from .graph import EdgeType, KnowledgeGraph, graph_to_document
+from .graph import EdgeType, KnowledgeGraph
 from .policy import (
     MethodTuple,
     PolicyRows,
@@ -345,7 +345,7 @@ def _apply_certain_rules(substrate: Substrate, rows: dict[str, ProbabilityRow]) 
             if not kids or node not in rows:
                 continue
             if rule.effect == "force":  # the kids to keep
-                edit = {k for k in kids if any(substrate.tree.is_ancestor_or_self(k, a) for a in rule.target_slice)}
+                edit = {k for k in kids if substrate.members_below(k, rule.target_chain) & rule.target_slice}
             else:  # the kids to drop; a fully-covered interior node is unreachable once
                 # its own parent row drops it, so such rows are left alone
                 edit = {k for k in kids if substrate.members_below(k, rule.target_chain) <= rule.target_slice}

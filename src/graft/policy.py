@@ -89,10 +89,6 @@ class MethodTuple:
         return MethodTuple.from_picks(picks)
 
 
-def internal_s_nodes(substrate: Substrate) -> tuple[str, ...]:
-    return substrate.tree.internal_s_nodes
-
-
 def uniform_rows(substrate: Substrate) -> PolicyRows:
     return PolicyRows(rows=dict(substrate.tree.uniform_rows), tree_version=substrate.tree_version)
 

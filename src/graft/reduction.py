@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import GraphValidationError
-from .graph import EdgeType, KnowledgeGraph, validate_graph
+from .graph import EdgeType, KnowledgeGraph, _survey
 
 
 @dataclass(frozen=True)
@@ -129,32 +129,12 @@ def reduce_to_tree(g: KnowledgeGraph) -> FactoredTree:
     Raises GraphValidationError when the graph breaks a structural
     invariant; this is what ties "validate accepts" to "reduce succeeds".
     """
-    report = validate_graph(g)
+    report, incoming, bfs_depth = _survey(g)
     if not report.ok:
         raise GraphValidationError(report)
 
-    children_all: dict[str, list[tuple[str, EdgeType]]] = {n: [] for n in g.nodes}
-    for p, c, t in g.edges:
-        children_all[p].append((c, t))
-
-    # BFS depth of every node in the DAG (shortest edge distance from root)
-    bfs_depth = {g.root: 0}
-    frontier = [g.root]
-    while frontier:
-        nxt = []
-        for n in frontier:
-            for c, _ in sorted(children_all[n]):
-                if c not in bfs_depth:
-                    bfs_depth[c] = bfs_depth[n] + 1
-                    nxt.append(c)
-        frontier = nxt
-
     parent: dict[str, str] = {}
     edge_type: dict[str, EdgeType] = {}
-    incoming: dict[str, list[tuple[str, EdgeType]]] = {n: [] for n in g.nodes}
-    for p, c, t in g.edges:
-        incoming[c].append((p, t))
-
     for n in g.nodes:
         if n == g.root:
             continue

@@ -9,6 +9,7 @@ against a genuinely separate derivation.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 import itertools
 from typing import Mapping, Optional
 
@@ -123,6 +124,27 @@ def min_injective_k_numpy(e: Embedding, cap: int = K_MAX) -> int:
         if len(np.unique(keys)) == n:
             return k
     raise ResolutionSearchError(f"no K <= {cap} separates all nodes")
+
+
+# -- the spanning-tree parent, by its definition ----------------------------------
+
+
+def kept_parents(doc: dict) -> dict[str, str]:
+    """node -> the parent the spanning tree keeps: the annotated canonical
+    parent, else the parent fewest edges from the root, ties by name."""
+    distance, queue = {doc["root"]: 0}, deque([doc["root"]])
+    while queue:
+        n = queue.popleft()
+        for e in doc["edges"]:
+            if e["parent"] == n and e["child"] not in distance:
+                distance[e["child"]] = distance[n] + 1
+                queue.append(e["child"])
+    kept: dict[str, str] = {}
+    for e in doc["edges"]:
+        child, p = e["child"], e["parent"]
+        if child not in kept or (distance[p], p) < (distance[kept[child]], kept[child]):
+            kept[child] = p
+    return {**kept, **doc.get("canonical_parent", {})}
 
 
 # -- independent longest-path levels ------------------------------------------
@@ -547,11 +569,9 @@ def random_substrate(seed: int) -> Substrate:
 
 def random_rows(substrate: Substrate, seed: int) -> PolicyRows:
     """Random strictly positive rows (so denominators never vanish)."""
-    from graft.policy import ProbabilityRow, internal_s_nodes
-
     rng = np.random.default_rng(seed)
     rows = {}
-    for node in internal_s_nodes(substrate):
+    for node in substrate.tree.internal_s_nodes:
         kids = substrate.tree.s_children(node)
         raw = rng.uniform(0.1, 1.0, size=len(kids))
         raw = raw / raw.sum()

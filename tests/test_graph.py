@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from graft import (
@@ -9,6 +11,7 @@ from graft import (
     validate_graph,
 )
 from graft.fixtures import morning_graph, morning_graph_document
+from graft.cli import main
 from graft.graph import graph_from_document
 
 from oracles import random_substrate_document
@@ -90,6 +93,22 @@ def test_cycle_flagged():
     }
     report = validate_graph(graph_from_document(doc))
     assert any(v.kind == "cycle" for v in report.violations)
+
+
+def test_every_back_edge_and_unreachable_node_is_reported_in_order(tmp_path, capsys):
+    # r -> a -> b -> a closes over c-edges, r -> c -> d -> c over s-edges, e -> e is unreachable
+    edges = [("r", "a", "c"), ("a", "b", "c"), ("b", "a", "c"), ("r", "c", "c"), ("c", "d", "s"), ("d", "c", "s"),
+             ("e", "e", "c")]  # fmt: skip
+    doc = {
+        "root": "r",
+        "nodes": ["r", "a", "b", "c", "d", "e"],
+        "edges": [{"parent": p, "child": c, "type": t} for p, c, t in edges],
+    }
+    expected = ["unreachable node e", "cycle through a", "cycle through c", "cycle through e"]
+    assert [v.message for v in validate_graph(graph_from_document(doc)).violations] == expected
+    (tmp_path / "cyclic.json").write_text(json.dumps(doc))
+    assert main(["validate", str(tmp_path / "cyclic.json")]) == 1
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_unreachable_flagged():

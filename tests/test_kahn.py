@@ -1,4 +1,4 @@
-"""Property tests for the Kahn pass behind check_acyclic and assign_levels."""
+"""Property tests for the depth-first search behind check_acyclic and assign_levels."""
 
 import pytest
 from hypothesis import given, settings
@@ -73,8 +73,10 @@ def test_a_back_edge_yields_a_witness_that_is_a_cycle(dag, data):
     witness = check_acyclic(h)
     assert witness is not None
     assert forms_cycle(witness.chains, h.edges)
-    with pytest.raises(BuildError):
+    with pytest.raises(BuildError) as err:
         assign_levels(h)
+    assert err.value.stage == "cycle"
+    assert forms_cycle(err.value.witness.chains, h.edges)
 
 
 def test_a_5000_vertex_path_needs_no_recursion():

@@ -1,12 +1,32 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graft import EdgeType, extract_chains, reduce_to_tree
 from graft.graph import graph_from_document
 from graft.fixtures import morning_graph
 
-from oracles import random_substrate_document
+from oracles import kept_parents, random_substrate_document
+
+
+@st.composite
+def multi_parent_dags(draw, max_nodes=9):
+    """A DAG document whose nodes may have several parents: edges run forward
+    in a shuffled name order, each node's out-edges share one type, and some
+    multi-parent nodes carry a canonical parent annotation."""
+    n = draw(st.integers(1, max_nodes))
+    names = draw(st.permutations([f"n{i}" for i in range(n)]))
+    kinds = [draw(st.sampled_from("cs")) for _ in names]
+    edges, canonical = [], {}
+    for j in range(1, n):
+        parents = draw(st.lists(st.integers(0, j - 1), min_size=1, max_size=3, unique=True))
+        edges += [{"parent": names[i], "child": names[j], "type": kinds[i]} for i in parents]
+        if len(parents) > 1 and draw(st.booleans()):
+            canonical[names[j]] = names[draw(st.sampled_from(parents))]
+    edges = draw(st.permutations(edges))
+    return {"root": names[0], "nodes": list(names), "edges": list(edges), "canonical_parent": canonical}
 
 
 def test_tree_shaped_input_is_identity():
@@ -68,6 +88,12 @@ def test_bfs_tie_breaks_lexicographically():
     }
     t = reduce_to_tree(graph_from_document(doc))
     assert t.parent["x"] == "p1"
+
+
+@settings(deadline=None)
+@given(multi_parent_dags())
+def test_the_kept_parent_is_canonical_else_nearest_the_root(doc):
+    assert reduce_to_tree(graph_from_document(doc)).parent == kept_parents(doc)
 
 
 def test_children_sorted_lexicographically():

@@ -156,6 +156,12 @@ def _memory_line(**fields):
     return json.dumps(record) + "\n"
 
 
+def _graph_holding(needle, **fields):
+    """A graph document with ``fields`` over a root ``r`` and its child ``a``, through ``graft validate``."""
+    doc = {"root": "r", "nodes": ["r", "a"], "edges": [{"parent": "r", "child": "a", "type": "c"}], **fields}
+    return _file_holding(json.dumps(doc), ["validate", "bad.json"], needle)
+
+
 NEIGHBORS = ["neighbors", "bad.json", "--problem", "p.fp"]
 LOOP = ["loop", "asub.json", "memory.jsonl", "--budget", "1", "--seed", "0", "--out", "report.jsonl"]
 RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.fp", "--method", "m.json"]
@@ -231,6 +237,15 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
             "", ["fingerprint", "asub.json", "--path", "breakfast_yes,helmet_yes", "--k", "-3"],
             "resolution must be at least 1",
         ),
+        _graph_holding("field 'nodes' must be a list", nodes=5),
+        _graph_holding("field 'edges' must be a list", edges={}),
+        _graph_holding("field 'rules' must be a list", rules="x"),
+        _graph_holding("field 'canonical_parent' must be an object", canonical_parent=[]),
+        _graph_holding("rule field 'trigger' must be a list", rules=[{"trigger": "r", "target": ["a"], "effect": "force"}]),
+        _graph_holding("rule field 'target' must be a list", rules=[{"trigger": ["r"], "target": 5, "effect": "force"}]),
+        _graph_holding("unknown NodeId ['r'] in rule", rules=[{"trigger": [["r"]], "target": ["a"], "effect": "force"}]),
+        _graph_holding("unknown NodeId ['r'] in edge", edges=[{"parent": ["r"], "child": "a", "type": "c"}]),
+        _graph_holding("unknown NodeId ['r'] in canonical_parent", canonical_parent={"a": ["r"]}),
     ],
     ids=[
         "array", "string", "number", "empty-array", "memory-line-array", "no-graph", "no-content-hash",
@@ -238,7 +253,9 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
         "env-spec-no-mutation-rate", "problem-out-of-range", "observables-array", "memory-reward-string",
         "memory-reward-bool", "memory-cells-not-triples", "memory-cell-holding-a-list", "memory-resolution-string",
         "memory-resolution-zero", "memory-path-nodes-string", "memory-method-number", "rows-row-number",
-        "env-spec-count-string", "fingerprint-k-zero", "fingerprint-k-negative",
+        "env-spec-count-string", "fingerprint-k-zero", "fingerprint-k-negative", "graph-nodes-number",
+        "graph-edges-object", "graph-rules-string", "graph-canonical-parent-array", "graph-rule-trigger-string",
+        "graph-rule-target-number", "graph-rule-node-list", "graph-edge-end-list", "graph-canonical-parent-list",
     ],
 )
 def test_malformed_files_end_in_one_error_line(case, tmp_path):
@@ -518,6 +535,15 @@ def test_a_k_that_is_not_auto_or_an_integer_is_a_usage_error(value, tmp_path):
     assert out.returncode == 2, out.stderr
     assert "argument --k" in out.stderr and "Traceback" not in out.stderr
 
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_problems_that_are_not_all_or_an_integer_are_a_usage_error(value, tmp_path):
+    _workdir_holding("", [], "")(tmp_path)
+    out = run_cli(*LOOP, "--env-spec", "env.json", "--problems", value, cwd=tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert "argument --problems" in out.stderr and "Traceback" not in out.stderr
+    assert not (tmp_path / "report.jsonl").exists()
 
 
 COUNTED = {
