@@ -10,14 +10,12 @@ level by level.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BuildError
 from .graph import KnowledgeGraph, Rule, depth_first
-from .reduction import ChainIndex, FactoredTree, extract_chains, reduce_to_tree
+from .reduction import ChainIndex, FactoredTree, digest, extract_chains, reduce_to_tree
 
 
 @dataclass(frozen=True)
@@ -254,8 +252,7 @@ def _compile_rules(
 
 
 def substrate_content_hash(graph_document: dict) -> str:
-    blob = json.dumps(graph_document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return digest(graph_document)
 
 
 def build_substrate(g: KnowledgeGraph) -> Substrate:

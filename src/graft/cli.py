@@ -223,8 +223,7 @@ def cmd_neighbors(args) -> int:
         return 0
     ranked = rank_neighbors(repo, p_fp, args.count)
     for entry, sim in ranked:
-        picks = {k: v for k, v in entry.method.items}
-        print(f"{repr(sim)}\t{repr(entry.reward)}\t{json.dumps(picks, sort_keys=True)}")
+        print(f"{repr(sim)}\t{repr(entry.reward)}\t{json.dumps(entry.method.picks, sort_keys=True)}")
     return 0
 
 
@@ -274,20 +273,8 @@ def cmd_loop(args) -> int:
             def emit(n, m, observables, reward, _index=index):
                 # run_trial has just recorded this attempt as the repository's last entry
                 io.append_memory(repo, repo.entries[-1], memory_path)
-                fh.write(
-                    json.dumps(
-                        {
-                            "problem": _index,
-                            "iteration": n,
-                            "method": {k: v for k, v in m.items},
-                            "observables": dict(sorted(observables.items())),
-                            "reward": reward,
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+                report = dict(problem=_index, iteration=n, method=m.picks, observables=observables, reward=reward)
+                fh.write(io.json_line(report))
 
             result = run_trial(
                 env.bind(index),
@@ -314,7 +301,7 @@ def cmd_landscape(args) -> int:
     lines = ["x_pca_problem\ty_pca_method\t" + args.observable]
     for x, y, value in table.rows:
         lines.append(f"{x!r}\t{y!r}\t{value!r}")
-    Path(_resolve(args.out)).write_text("\n".join(lines) + "\n")
+    io.write_whole(_resolve(args.out), "\n".join(lines) + "\n")
     if table.degenerate_problem_axis or table.degenerate_method_axis:
         _say(args, "warning: degenerate covariance on at least one axis; coordinates are zero")
     return 0
@@ -329,28 +316,23 @@ def cmd_footprint(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _word_or_integer(word: str):
-    """An option type taking ``word`` itself or an integer; the range is checked where the value is used."""
+def _integer(minimum: int | None = None, word: str | None = None):
+    """An option type taking an integer, of at least ``minimum`` when given, or
+    ``word`` itself when given; any other range is checked where the value is used."""
+    wanted = "an integer" if minimum is None else f"an integer of at least {minimum}"
+    wanted = wanted if word is None else f"{word!r} or {wanted}"
 
     def parse(text: str) -> int | str:
         if text == word:
             return text
         try:
-            return int(text)
+            if minimum is None or int(text) >= minimum:
+                return int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {word!r} or an integer, found {text!r}") from None
+            pass
+        raise argparse.ArgumentTypeError(f"expected {wanted}, found {text!r}")
 
     return parse
-
-
-def _count(text: str) -> int:
-    """A neighbour count: an integer of at least 0, where 0 asks for none."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer of at least 0, found {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("substrate")
     p.add_argument("--path", required=True, help="comma-separated node ids")
     p.add_argument(
-        "--k", type=_word_or_integer("auto"), default="auto", help="grid resolution or 'auto' for the minimum injective K"
+        "--k", type=_integer(word="auto"), default="auto", help="grid resolution or 'auto' for the minimum injective K"
     )
     p.add_argument("--keep", choices=[KEEP_S_ONLY, KEEP_ALL], default=KEEP_S_ONLY)
     p.add_argument("--out")
@@ -398,14 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("memory")
     p.add_argument("substrate")
     p.add_argument("--problem", required=True, help="problem fingerprint file")
-    p.add_argument("--neighbors", type=_count, default=3)
+    p.add_argument("--neighbors", type=_integer(0), default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_prior)
 
     p = sub.add_parser("sample", help="draw one method tuple")
     p.add_argument("substrate")
     p.add_argument("--rows", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_integer(0), required=True)
     p.add_argument("--avoid", help="JSON array of method records to exclude")
     p.set_defaults(handler=cmd_sample)
 
@@ -427,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("neighbors", help="rank memory entries against a problem")
     p.add_argument("memory")
     p.add_argument("--problem", required=True)
-    p.add_argument("-n", "--count", type=_count, default=3)
+    p.add_argument("-n", "--count", type=_integer(0), default=3)
     p.set_defaults(handler=cmd_neighbors)
 
     p = sub.add_parser("loop", help="run closed-loop trials against an environment")
@@ -435,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("memory")
     p.add_argument("--env", default="synthetic")
     p.add_argument("--env-spec", required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--problems", type=_word_or_integer("all"), default="all", help="'all' or one problem index")
+    p.add_argument("--budget", type=_integer(1), required=True)
+    p.add_argument("--seed", type=_integer(0), required=True)
+    p.add_argument("--problems", type=_integer(word="all"), default="all", help="'all' or one problem index")
     p.add_argument("--out", required=True, help="per-iteration JSONL report")
     p.set_defaults(handler=cmd_loop)
 

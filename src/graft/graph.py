@@ -129,6 +129,7 @@ def graph_from_document(doc: dict) -> KnowledgeGraph:
             for end in _listed(item[key], f"rule field {key!r}"):
                 _known(end, seen, "rule")
         _require(item["effect"] in EFFECTS, f"unknown rule effect {item['effect']!r}")
+        _require(isinstance(item.get("hint", ""), str), f"rule hint {item.get('hint')!r} must be text")
         rules.append(
             Rule(
                 hint=item.get("hint", ""),

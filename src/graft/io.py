@@ -4,7 +4,8 @@ Every artifact is JSON (memory and loop reports are JSON Lines) with a
 format marker and the producing tree version; loading refuses mixed
 versions.  Serialization is byte-deterministic: sorted keys, fixed
 separators, one trailing newline.  Floats round-trip exactly through the
-shortest-repr encoding json uses for binary64.
+shortest-repr encoding json uses for binary64.  Whole files are written
+through ``write_whole``; memory records are appended.
 """
 
 from __future__ import annotations
@@ -86,6 +87,26 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def json_line(payload) -> str:
+    """One JSON Lines record: sorted keys, no spaces, one line end."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_whole(path: str | Path, text: str) -> None:
+    """Write beside the target, then move over it: a write cut short leaves
+    the old file whole.  A failed write names the target."""
+    temporary = Path(f"{path}.{os.getpid()}.tmp")  # in the target's directory, so os.replace is atomic
+    try:
+        temporary.write_text(text)
+        os.replace(temporary, path)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(Path(path))) from None
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
 def _parse_json(where: str | Path, text: str):
     try:
         return json.loads(text)
@@ -116,8 +137,10 @@ def _object(
     return payload
 
 
-def load_object(path: str | Path, marker: str | None = None, fields: tuple[str, ...] = ()) -> dict:
-    return _object(path, _parse_json(path, Path(path).read_text()), marker, fields)
+def load_object(
+    path: str | Path, marker: str | None = None, fields: tuple[str, ...] = (), kinds: Mapping[str, Kind] = {}
+) -> dict:
+    return _object(path, _parse_json(path, Path(path).read_text()), marker, fields, kinds)
 
 
 # -- graph documents ---------------------------------------------------------
@@ -139,7 +162,7 @@ def save_substrate(s: Substrate, path: str | Path) -> None:
         "content_hash": substrate_content_hash(doc),
         "tree_version": s.tree_version,
     }
-    Path(path).write_text(_dump(payload))
+    write_whole(path, _dump(payload))
 
 
 def load_substrate(path: str | Path) -> Substrate:
@@ -165,13 +188,13 @@ def save_rows(rows: PolicyRows, path: str | Path) -> None:
             for node, r in sorted(rows.rows.items())
         },
     }
-    Path(path).write_text(_dump(payload))
+    write_whole(path, _dump(payload))
 
 
 def load_rows(path: str | Path) -> PolicyRows:
     from .policy import PolicyRows, ProbabilityRow
 
-    payload = _object(path, load_object(path, ROWS_FORMAT, ("rows", "tree_version")), kinds=ROWS_FILE_KINDS)
+    payload = load_object(path, ROWS_FORMAT, ("rows", "tree_version"), ROWS_FILE_KINDS)
     rows = {}
     for node, r in payload["rows"].items():
         _object(f"{path}: row {node!r}", r, fields=("options", "mass"), kinds=ROW_KINDS)
@@ -196,7 +219,7 @@ def fingerprint_payload(fp: Fingerprint) -> dict:
 
 
 def save_fingerprint(fp: Fingerprint, path: str | Path) -> None:
-    Path(path).write_text(_dump(fingerprint_payload(fp)))
+    write_whole(path, _dump(fingerprint_payload(fp)))
 
 
 def _fingerprint_fields(payload: dict) -> tuple:
@@ -205,26 +228,25 @@ def _fingerprint_fields(payload: dict) -> tuple:
 
 
 def load_fingerprint(path: str | Path) -> Fingerprint:
-    payload = load_object(path, FINGERPRINT_FORMAT, FINGERPRINT_FIELDS)
-    return Fingerprint(*_fingerprint_fields(_object(path, payload, kinds=FINGERPRINT_KINDS)))
+    payload = load_object(path, FINGERPRINT_FORMAT, FINGERPRINT_FIELDS, FINGERPRINT_KINDS)
+    return Fingerprint(*_fingerprint_fields(payload))
 
 
 # -- method tuples -----------------------------------------------------------
 
 
 def method_payload(m: MethodTuple) -> dict:
-    return {"format": METHOD_FORMAT, "picks": {k: v for k, v in m.items}}
+    return {"format": METHOD_FORMAT, "picks": m.picks}
 
 
 def save_method(m: MethodTuple, path: str | Path) -> None:
-    Path(path).write_text(_dump(method_payload(m)))
+    write_whole(path, _dump(method_payload(m)))
 
 
 def load_method(path: str | Path) -> MethodTuple:
     from .policy import MethodTuple
 
-    payload = _object(path, load_object(path, METHOD_FORMAT, ("picks",)), kinds={"picks": PICKS})
-    return MethodTuple.from_picks(payload["picks"])
+    return MethodTuple.from_picks(load_object(path, METHOD_FORMAT, ("picks",), {"picks": PICKS})["picks"])
 
 
 def load_method_list(path: str | Path) -> list[MethodTuple]:
@@ -253,7 +275,7 @@ def _entry_payload(entry: MemoryEntry, repo: MemoryRepository) -> dict:
         "problem_tree_version": repo.problem_tree_version,
         "action_tree_version": repo.action_tree_version,
         "problem_fp": problem_fp,
-        "method": {k: v for k, v in entry.method.items},
+        "method": entry.method.picks,
         "method_path_nodes": sorted(entry.method_path_nodes),
         "observables": dict(sorted(entry.observables.items())),
         "reward": entry.reward,
@@ -303,26 +325,19 @@ def load_observables(path: str | Path) -> dict[str, float]:
 
 
 def save_memory(repo: MemoryRepository, path: str | Path) -> None:
-    """Write beside the target, then move over it: a write cut short leaves the old file whole."""
-    lines = [json.dumps(_entry_payload(e, repo), sort_keys=True, separators=(",", ":")) for e in repo.entries]
-    temporary = Path(f"{path}.{os.getpid()}.tmp")  # in the target's directory, so os.replace is atomic
-    try:
-        temporary.write_text("".join(line + "\n" for line in lines))
-        os.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)
+    write_whole(path, "".join(json_line(_entry_payload(e, repo)) for e in repo.entries))
 
 
 def append_memory(repo: MemoryRepository, entry: MemoryEntry, path: str | Path) -> None:
     """Append one record; a file whose last record has no line end is refused, as
     the new record would be glued to it."""
-    line = json.dumps(_entry_payload(entry, repo), sort_keys=True, separators=(",", ":"))
+    line = json_line(_entry_payload(entry, repo))
     with open(path, "a+b") as fh:  # writes go to the end, wherever the file was read
         if fh.seek(0, os.SEEK_END) > 0:
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
                 raise GraftError(f"{path}: last record has no line end")
-        fh.write(line.encode() + b"\n")
+        fh.write(line.encode())
 
 
 def load_memory(
@@ -402,7 +417,7 @@ def save_embedding(e: Embedding, path: str | Path) -> None:
         "rect": {n: list(r) for n, r in sorted(e.rect.items())},
         "entered_by": dict(sorted(e.entered_by.items())),
     }
-    Path(path).write_text(_dump(payload))
+    write_whole(path, _dump(payload))
 
 
 def load_embedding(path: str | Path) -> Embedding:

@@ -19,6 +19,11 @@ from .errors import GraphValidationError
 from .graph import EdgeType, KnowledgeGraph, _survey
 
 
+def digest(payload) -> str:
+    """The first 16 hex digits of the SHA-256 of ``payload`` as compact JSON with sorted keys."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class FactoredTree:
     root: str
@@ -89,8 +94,7 @@ class FactoredTree:
             "parent": dict(sorted(self.parent.items())),
             "edge_type": {n: t.value for n, t in sorted(self.edge_type.items())},
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return digest(payload)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import pytest
 
 from graft import MethodTuple, build_substrate, enumerate_support, graph_from_document, layout, sample_method, uniform_rows
 from graft import io
+from graft.embedding import fingerprint
 from graft.fixtures import morning_graph_document
 from graft.graph import graph_to_document
 from graft.loop import _flat_graph
@@ -246,6 +247,9 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
         _graph_holding("unknown NodeId ['r'] in rule", rules=[{"trigger": [["r"]], "target": ["a"], "effect": "force"}]),
         _graph_holding("unknown NodeId ['r'] in edge", edges=[{"parent": ["r"], "child": "a", "type": "c"}]),
         _graph_holding("unknown NodeId ['r'] in canonical_parent", canonical_parent={"a": ["r"]}),
+        _graph_holding(
+            "rule hint ['x'] must be text", rules=[{"hint": ["x"], "trigger": ["r"], "target": ["a"], "effect": "force"}]
+        ),
     ],
     ids=[
         "array", "string", "number", "empty-array", "memory-line-array", "no-graph", "no-content-hash",
@@ -256,6 +260,7 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
         "env-spec-count-string", "fingerprint-k-zero", "fingerprint-k-negative", "graph-nodes-number",
         "graph-edges-object", "graph-rules-string", "graph-canonical-parent-array", "graph-rule-trigger-string",
         "graph-rule-target-number", "graph-rule-node-list", "graph-edge-end-list", "graph-canonical-parent-list",
+        "graph-rule-hint-list",
     ],
 )
 def test_malformed_files_end_in_one_error_line(case, tmp_path):
@@ -449,6 +454,53 @@ def test_save_memory_cut_short_leaves_the_old_file_whole(tmp_path, monkeypatch):
     assert len(io.load_memory(path).entries) == 6
 
 
+SAVERS = {
+    "substrate": lambda s: (io.save_substrate, s),
+    "rows": lambda s: (io.save_rows, uniform_rows(s)),
+    "fingerprint": lambda s: (io.save_fingerprint, fingerprint(layout(s.tree), ["breakfast_yes"], 4)),
+    "method": lambda s: (io.save_method, sample_method(s, uniform_rows(s), seed=0)),
+    "embedding": lambda s: (io.save_embedding, layout(s.tree)),
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(SAVERS))
+def test_a_save_cut_short_leaves_the_old_file_whole(artifact, tmp_path, monkeypatch):
+    from pathlib import Path
+
+    save, value = SAVERS[artifact](build_substrate(graph_from_document(morning_graph_document())))
+    path = tmp_path / f"{artifact}.json"
+    save(value, path)
+    before = path.read_bytes()
+    write_text = Path.write_text
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="no space left"):
+        save(value, path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left behind
+
+
+def test_a_write_into_a_missing_directory_names_the_target(tmp_path):
+    _loop_workdir(tmp_path, morning_graph_document())
+    assert run_cli(*LOOP, "--env-spec", "env.json", "--problems", "0", cwd=tmp_path).returncode == 0
+    assert run_cli("build", "pg.json", "--out", "psub.json", cwd=tmp_path).returncode == 0
+    landscape = ["landscape", "memory.jsonl", "--observable", "noise", "--problem-substrate", "psub.json",
+                 "--action-substrate", "asub.json", "--out"]  # fmt: skip
+    assert run_cli(*landscape, "land.tsv", cwd=tmp_path).returncode == 0  # the inputs are sound
+    for argv, target in ((["build", "ag.json", "--out"], "sub.json"), (landscape, "land.tsv")):
+        out = run_cli(*argv, f"nodir/{target}", cwd=tmp_path)
+        assert_one_error_line(out)
+        assert f"No such file or directory: '{tmp_path / 'nodir' / target}'" in out.stderr
+        assert ".tmp" not in out.stderr
+    assert not (tmp_path / "nodir").exists()
+
+
 def _recorded_memory(tmp_path, records):
     """``memory.jsonl`` holding ``records`` entries made by ``graft record``."""
     _workdir_holding("{}", [], "")(tmp_path)  # asub.json, m.json and p.fp
@@ -544,6 +596,25 @@ def test_problems_that_are_not_all_or_an_integer_are_a_usage_error(value, tmp_pa
     assert out.returncode == 2, out.stderr
     assert "argument --problems" in out.stderr and "Traceback" not in out.stderr
     assert not (tmp_path / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, wanted",
+    [("--seed", "-1", "at least 0"), ("--seed", "abc", "at least 0"), ("--budget", "0", "at least 1")],
+    ids=["seed-negative", "seed-word", "budget-zero"],
+)
+def test_a_negative_seed_or_a_budget_below_one_is_a_usage_error(option, value, wanted, tmp_path):
+    _workdir_holding("", [], "")(tmp_path)  # env.json, asub.json and p.fp
+    io.save_rows(uniform_rows(io.load_substrate(tmp_path / "asub.json")), tmp_path / "rows.json")
+    calls = [[*LOOP, "--env-spec", "env.json", option, value]]  # the last --seed or --budget given is the one read
+    if option == "--seed":
+        calls.append(["sample", "asub.json", "--rows", "rows.json", "--seed", value])
+    for argv in calls:
+        out = run_cli(*argv, cwd=tmp_path)
+        assert out.returncode == 2, out.stderr
+        assert f"argument {option}" in out.stderr and wanted in out.stderr and "Traceback" not in out.stderr
+        assert out.stdout == ""
+    assert not (tmp_path / "memory.jsonl").exists() and not (tmp_path / "report.jsonl").exists()
 
 
 COUNTED = {
