@@ -8,7 +8,11 @@ A substrate rung is C flat chains of 4 options each (C = 50, 200 and 1000),
 or the morning fixture.  On each one the ladder times ``build_substrate``
 (from a parsed graph), ``layout``, ``sample_method`` and
 ``method_probability``, the last two with uniform rows passed as plain
-``PolicyRows``.  A memory rung ``memN`` holds N entries (N = 10^3, 10^4 and
+``PolicyRows``.  On the flat rungs it also times ``python -m graft --quiet
+sample`` with uniform rows as a child process, start-up included
+(``cli_sample``).  On the morning rung it times ``draw``: one seed word from
+``loop._iteration_seed`` (five iterations per base seed, as in a trial of
+budget 5), one stream seeded with it, and one ``random()``.  A memory rung ``memN`` holds N entries (N = 10^3, 10^4 and
 10^5) in warm-start-style blocks: ten entries share one problem fingerprint,
 drawn from a pool of 64 problems on a 12-chain tree, so that a query that
 re-arrives ties with every entry of its problem; the entries' methods are
@@ -56,10 +60,15 @@ FLAT = (50, 200, 1000)
 MEMORY = (1000, 10_000, 100_000)
 VARIANTS = ("-stale", "-distinct", "-sizes")  # ranking-only rungs
 OPERATIONS = (
-    "build_substrate", "layout", "sample_method", "method_probability", "rank_neighbors", "compile_prior", "load_memory",
-    "cli_neighbors", "cli_prior",
+    "build_substrate", "layout", "sample_method", "method_probability", "draw", "rank_neighbors", "compile_prior",
+    "load_memory", "cli_sample", "cli_neighbors", "cli_prior",
 )
-CLI = {"mem1000": 5, "mem10000": 3}  # timed child processes of each subcommand per round, on these rungs
+CLI = {"mem1000": 5, "mem10000": 3, "50": 5, "200": 5, "1000": 3}  # timed child processes per round, on these rungs
+MEMORY_CALLS = {
+    "cli_neighbors": ["neighbors", "memory.jsonl", "--problem", "p.fp"],
+    "cli_prior": ["prior", "memory.jsonl", "sub.json", "--problem", "p.fp", "--out", "rows.json"],
+}
+SAMPLE_CALLS = {"cli_sample": ["sample", "sub.json", "--rows", "rows.json", "--seed", "0"]}
 TRACED = ("retained_bytes_per_entry", "load_peak_traced_bytes")  # one traced load per memory rung
 # timed repeats per round: about 2,000 chain-draws' worth, at least 5, on a substrate rung
 REPEATS = {"morning": 400, "50": 40, "200": 10, "1000": 5}
@@ -149,27 +158,39 @@ def memory_load(repo, reps: int) -> dict:
     }
 
 
-def cli_calls(src: str, repo, query, s, reps: int) -> dict:
+def cli_calls(src: str, calls: dict[str, list[str]], files: list[tuple], reps: int) -> dict:
     """Median seconds of ``reps`` child processes of ``python -m graft --quiet``
-    ``neighbors`` and ``prior`` on the rung's memory file, start-up included."""
+    per call, start-up included, in a directory where each ``(save, artifact,
+    name)`` of ``files`` has written its file."""
     import tempfile
 
-    from graft import io
-
-    calls = {
-        "cli_neighbors": ["neighbors", "memory.jsonl", "--problem", "p.fp"],
-        "cli_prior": ["prior", "memory.jsonl", "sub.json", "--problem", "p.fp", "--out", "rows.json"],
-    }
     with tempfile.TemporaryDirectory() as tmp:
-        io.save_memory(repo, Path(tmp) / "memory.jsonl")
-        io.save_substrate(s, Path(tmp) / "sub.json")
-        io.save_fingerprint(query, Path(tmp) / "p.fp")
+        for save, artifact, name in files:
+            save(artifact, Path(tmp) / name)
         env = dict(os.environ, PYTHONPATH=src, GRAFT_WORKSPACE=tmp)
 
         def run(argv):
             subprocess.run([sys.executable, "-m", "graft", "--quiet", *argv], env=env, stdout=subprocess.DEVNULL, check=True)
 
         return {op: _median_time(run, [(argv,)] * (reps + 1)) for op, argv in calls.items()}
+
+
+def draw_op():
+    """One seed word from ``_iteration_seed``, one stream seeded with it, one ``random()``."""
+    from graft.loop import _iteration_seed
+
+    try:
+        from graft.stream import Stream
+    except ImportError:  # a checkout from before graft drew on its own stream
+        import numpy as np
+
+        def Stream(seed):
+            return np.random.Generator(np.random.PCG64(seed))
+
+    def draw(n: int) -> float:
+        return Stream(_iteration_seed(n // 5, n % 5, 0)).random()
+
+    return draw
 
 
 def _median_time(fn, args: list) -> float:
@@ -186,7 +207,7 @@ def worker(src: str, rungs: list[str], scale: float) -> dict:
     """One round on one checkout: {rung: {operation: median seconds}}."""
     sys.path.insert(0, src)
     import graft
-    from graft import build_substrate, graph_from_document, layout, method_probability, sample_method, uniform_rows
+    from graft import build_substrate, graph_from_document, io, layout, method_probability, sample_method, uniform_rows
     from graft.fixtures import morning_graph_document
 
     out = {}
@@ -199,7 +220,9 @@ def worker(src: str, rungs: list[str], scale: float) -> dict:
                 out[rung]["compile_prior"] = _median_time(graft.compile_prior, [(repo, query, s)] * (reps + 1))
                 out[rung].update(memory_load(repo, max(3, int(LOADS[rung] * scale))))
             if rung in CLI:
-                out[rung].update(cli_calls(src, repo, query, s, max(3, int(CLI[rung] * scale))))
+                files = [(io.save_memory, repo, "memory.jsonl"), (io.save_substrate, s, "sub.json"),
+                         (io.save_fingerprint, query, "p.fp")]  # fmt: skip
+                out[rung].update(cli_calls(src, MEMORY_CALLS, files, max(3, int(CLI[rung] * scale))))
             continue
         doc = morning_graph_document() if rung == "morning" else flat_document(int(rung))
         graph = graph_from_document(doc)
@@ -212,6 +235,11 @@ def worker(src: str, rungs: list[str], scale: float) -> dict:
             "sample_method": _median_time(sample_method, [(s, rows, seed) for seed in range(reps + 1)]),
             "method_probability": _median_time(method_probability, [(s, rows, m) for m in methods]),
         }
+        if rung == "morning":
+            out[rung]["draw"] = _median_time(draw_op(), [(n,) for n in range(reps + 1)])
+        if rung in CLI:
+            files = [(io.save_substrate, s, "sub.json"), (io.save_rows, rows, "rows.json")]
+            out[rung].update(cli_calls(src, SAMPLE_CALLS, files, max(3, int(CLI[rung] * scale))))
     return out
 
 

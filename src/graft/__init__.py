@@ -13,7 +13,7 @@ import importlib
 
 # The public names of each submodule.  Submodules and names are imported on
 # first use (PEP 562), so ``import graft`` loads neither the submodules nor
-# numpy, which only the draws, the neighbour ranking and the landscape use.
+# numpy, which only the landscape uses.
 _EXPORTS = {
     "build": "CompiledRule CycleWitness DependencyGraph LevelMap Substrate assign_levels build_substrate "
         "check_acyclic expand_rules",

@@ -6,8 +6,8 @@ $GRAFT_WORKSPACE when it is set.  Numbers are printed in shortest exact
 round-trip form.
 
 Each handler imports the library calls it makes, so numpy is loaded only
-by the subcommands that draw or project (``sample``, ``loop`` and
-``landscape``) and the loop module only by ``loop``.
+by ``landscape``, which projects with it, and the loop module only by
+``loop``.
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import numbers
+import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Protocol, get_args, get_type_hints
+from typing import Optional, Protocol, get_args, get_type_hints
 
 from .build import Substrate, build_substrate
 from .embedding import Embedding, Fingerprint, fingerprint, jaccard, layout, min_injective_k
@@ -37,18 +38,16 @@ from .policy import (
     sample_method,
     uniform_rows,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
+from .stream import Stream, spawn_word
 
 
-def random_chain_strategy(shared: dict[str, tuple[float, ...]], rng: np.random.Generator) -> list[str]:
+def random_chain_strategy(shared: dict[str, tuple[float, ...]], rng: Stream) -> list[str]:
     order = list(shared)
     rng.shuffle(order)
     return order
 
 
-def worst_chain_strategy(shared: dict[str, tuple[float, ...]], rng: np.random.Generator) -> list[str]:
+def worst_chain_strategy(shared: dict[str, tuple[float, ...]], rng: Stream) -> list[str]:
     def mean_reward(cid: str) -> float:
         return sum(shared[cid]) / len(shared[cid]) if shared[cid] else R_MAX
 
@@ -110,10 +109,7 @@ class TrialResult:
 
 
 def _iteration_seed(base_seed: int, iteration: int, stream: int) -> int:
-    import numpy as np
-
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(iteration, stream))
-    return int(ss.generate_state(1)[0])
+    return spawn_word(base_seed, iteration, stream)
 
 
 def advisor_edit(
@@ -134,8 +130,6 @@ def advisor_edit(
     outside ``avoid``.  Returns None when no admissible single-chain edit
     exists.
     """
-    import numpy as np
-
     try:
         strategy_fn = ADVISOR_STRATEGIES[strategy]
     except KeyError:
@@ -153,7 +147,7 @@ def advisor_edit(
         return None
 
     policy = compile_policy(substrate, rows)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Stream(seed)
     order = strategy_fn(shared, rng)
     tried = history.methods()
 
@@ -274,6 +268,11 @@ class SyntheticEnvSpec:
             kind, what = _SPEC_KINDS[get_args(hint)[0] if get_args(hint) else hint]
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise GraftError(f"{name} must be {what}, found {type(value).__name__}")
+        for name in ("noise_level", "convergence_reward"):
+            value = getattr(self, name)
+            if value is not None and not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails both
+                what = f"finite, found {value!r}" if isinstance(value, float) else "within the float range"
+                raise GraftError(f"{name} must be {what}")
         if self.problem_count < 1:
             raise GraftError("problem_count must be positive")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -381,17 +380,17 @@ def _mutate_tuple(
     substrate: Substrate,
     base: MethodTuple,
     count: int,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> tuple[MethodTuple, int]:
     """Redraw the picks of ``count`` distinct decision chains of ``base``."""
     editable = _editable_chains(substrate, base)
     count = min(count, len(editable))
-    chosen = sorted(rng.choice(len(editable), size=count, replace=False).tolist()) if count else []
+    chosen = sorted(map(int, rng.choice(len(editable), size=count, replace=False))) if count else []
     out = base
     for pos in chosen:
         cid = editable[pos]
         alternatives = [a for a in substrate.chains.chains[cid].alphabet if a != out.picks[cid]]
-        out = out.with_value(cid, alternatives[int(rng.integers(len(alternatives)))])
+        out = out.with_value(cid, alternatives[rng.integers(len(alternatives))])
     return out, count
 
 
@@ -399,8 +398,6 @@ def make_synthetic_env(spec: SyntheticEnvSpec, seed: int) -> SyntheticEnvironmen
     """Reproducible environment: problems plus hidden targets, coupled so that
     problems mutated little from the base hide targets mutated little from
     the base target."""
-    import numpy as np
-
     spec.validate()
     if spec.problem_graph is not None:
         problem_graph = graph_from_document(spec.problem_graph)
@@ -416,13 +413,9 @@ def make_synthetic_env(spec: SyntheticEnvSpec, seed: int) -> SyntheticEnvironmen
     problem_k = min_injective_k(problem_embedding)
     action_k = min_injective_k(action_embedding)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    base_problem = sample_method(
-        problem_substrate, uniform_rows(problem_substrate), int(rng.integers(2**32))
-    )
-    base_target = sample_method(
-        action_substrate, uniform_rows(action_substrate), int(rng.integers(2**32))
-    )
+    rng = Stream(seed)
+    base_problem = sample_method(problem_substrate, uniform_rows(problem_substrate), rng.integers(2**32))
+    base_target = sample_method(action_substrate, uniform_rows(action_substrate), rng.integers(2**32))
 
     n_problem_chains = len(problem_substrate.decision_chain_ids)
     n_action_chains = len(action_substrate.decision_chain_ids)
@@ -447,13 +440,13 @@ def make_synthetic_env(spec: SyntheticEnvSpec, seed: int) -> SyntheticEnvironmen
 
     train_count = spec.problem_count - spec.holdout_count
     for i in range(train_count):
-        distance = int(rng.binomial(n_problem_chains, spec.mutation_rate))
+        distance = rng.binomial(n_problem_chains, spec.mutation_rate)
         add_problem(i, base_problem, base_target, distance)
 
     # held-out problems are small mutations of training problems, so their
     # hidden targets stay near targets the repository has already seen
     for i in range(train_count, spec.problem_count):
-        anchor = problems[int(rng.integers(train_count))]
+        anchor = problems[rng.integers(train_count)]
         anchor_problem = _tuple_from_path(problem_substrate, anchor.path_nodes)
         anchor_target = _tuple_from_cells(action_substrate, action_embedding, anchor.target_fingerprint)
         add_problem(i, anchor_problem, anchor_target, spec.holdout_distance)

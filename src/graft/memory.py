@@ -56,10 +56,13 @@ class MemoryEntry:
 
 
 def check_observables(observables: dict[str, float]) -> None:
-    """Refuse an observable whose value is not a number; a bool is not one."""
+    """Refuse an observable whose value is not a number, or not a finite one;
+    a bool is not a number, and an int of any size is finite."""
     for key, value in observables.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"observable {key!r} must be a number, found {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):  # JSON has no NaN or Infinity
+            raise ValueError(f"observable {key!r} must be finite, found {value!r}")
 
 
 def _rows(mask: int) -> list[int]:

@@ -23,7 +23,7 @@ from .build import CompiledRule, Substrate
 from .errors import EnumerationCapError, RuleSupportError, SupportExhaustedError, VersionMismatchError
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .stream import Stream
 
 MASS_TOLERANCE = 1e-12
 MAX_RETRIES = 64  # rejection draws against an avoid set before enumerating
@@ -311,7 +311,7 @@ def enumerate_support(
     return out
 
 
-def _draw(rng: np.random.Generator, options: list[Optional[str]], weights: list[float]) -> Optional[str]:
+def _draw(rng: Stream, options: list[Optional[str]], weights: list[float]) -> Optional[str]:
     # explicit inverse-CDF draw so results do not depend on Generator.choice internals
     total = sum(weights)
     u = rng.random() * total
@@ -323,7 +323,7 @@ def _draw(rng: np.random.Generator, options: list[Optional[str]], weights: list[
     return options[-1]
 
 
-def _sample_once(policy: CompiledPolicy, rng: np.random.Generator) -> MethodTuple:
+def _sample_once(policy: CompiledPolicy, rng: Stream) -> MethodTuple:
     resolved: dict[str, Optional[str]] = {}
     for cid in policy.chain_order:
         kernel = policy.kernel(cid, resolved)
@@ -338,16 +338,16 @@ def sample_method(
     seed: int,
     avoid: frozenset[MethodTuple] | set[MethodTuple] = frozenset(),
 ) -> MethodTuple:
-    """Level-by-level draw (PCG64), rejection-resampling against ``avoid``.
+    """Level-by-level draw on the seed's PCG64 stream, rejection-resampling against ``avoid``.
 
     After ``MAX_RETRIES`` collisions, falls back to enumerating the positive
     support minus the avoid set and drawing from its renormalisation; raises
     SupportExhaustedError when nothing remains.
     """
-    import numpy as np
+    from .stream import Stream
 
     policy = compile_policy(substrate, rows)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Stream(seed)
     for _ in range(MAX_RETRIES if avoid else 1):
         m = _sample_once(policy, rng)
         if m not in avoid:

@@ -250,6 +250,32 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
         _graph_holding(
             "rule hint ['x'] must be text", rules=[{"hint": ["x"], "trigger": ["r"], "target": ["a"], "effect": "force"}]
         ),
+        _workdir_holding(
+            '{"wall": NaN}', [*RECORD, "--observables", "bad.json", "--reward", "1"],
+            "bad.json: observable 'wall' must be finite, found nan",
+        ),
+        _workdir_holding(
+            '{"wall": 1, "cost": -Infinity}', [*RECORD, "--observables", "bad.json", "--reward", "1"],
+            "bad.json: observable 'cost' must be finite, found -inf",
+        ),
+        _file_holding(
+            _memory_line(observables={"wall": float("inf")}), NEIGHBORS, "bad.json:1: observable 'wall' must be finite"
+        ),
+        _workdir_holding(
+            '{"problem_count": 3, "mutation_rate": 0.4, "noise_level": NaN}',
+            [*LOOP, "--env-spec", "bad.json"],
+            "bad.json: noise_level must be finite, found nan",
+        ),
+        _workdir_holding(
+            '{"problem_count": 3, "mutation_rate": 0.4, "noise_level": 1%s}' % ("0" * 400),
+            [*LOOP, "--env-spec", "bad.json"],
+            "bad.json: noise_level must be within the float range",
+        ),
+        _workdir_holding(
+            '{"problem_count": 3, "mutation_rate": 0.4, "noise_level": 1.0, "convergence_reward": NaN}',
+            [*LOOP, "--env-spec", "bad.json"],
+            "bad.json: convergence_reward must be finite, found nan",
+        ),
     ],
     ids=[
         "array", "string", "number", "empty-array", "memory-line-array", "no-graph", "no-content-hash",
@@ -260,7 +286,8 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
         "env-spec-count-string", "fingerprint-k-zero", "fingerprint-k-negative", "graph-nodes-number",
         "graph-edges-object", "graph-rules-string", "graph-canonical-parent-array", "graph-rule-trigger-string",
         "graph-rule-target-number", "graph-rule-node-list", "graph-edge-end-list", "graph-canonical-parent-list",
-        "graph-rule-hint-list",
+        "graph-rule-hint-list", "record-observable-nan", "record-observable-infinity", "memory-observable-infinity",
+        "env-spec-noise-nan", "env-spec-noise-huge-int", "env-spec-convergence-nan",
     ],
 )
 def test_malformed_files_end_in_one_error_line(case, tmp_path):
@@ -366,6 +393,15 @@ def test_bad_rewards_and_observables_name_their_file(case, tmp_path):
     assert_one_error_line(out)
     assert needle in out.stderr
     assert not (tmp_path / "memory.jsonl").exists()  # record wrote nothing
+
+
+def test_an_observable_may_be_an_int_of_any_size_but_not_a_non_finite_float():
+    from graft.memory import check_observables
+
+    check_observables({"count": 10**400, "wall": 1.5})  # math.isfinite would overflow on the int
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="observable 'wall' must be finite"):
+            check_observables({"count": 1, "wall": value})
 
 
 @pytest.mark.parametrize("mass", ["[NaN, NaN]", "[-0.5, 1.5]", "[Infinity, 0.5]"], ids=["nan", "negative", "infinity"])
