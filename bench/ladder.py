@@ -28,9 +28,10 @@ first entry's as the query, and ``mem10000-sizes`` draws its problems from
 a pool of 1,000 random sets of 1 to 60 of the 60 options of a 20-chain tree,
 so that they hold many cell counts, against a query of 30 options.  The
 smoke run takes the variants at 10^3 entries.  On ``mem1000`` and
-``mem10000`` the ladder also times ``python -m graft --quiet neighbors`` and
-``prior`` as child processes, start-up included (``cli_neighbors``,
-``cli_prior``).
+``mem10000`` the ladder also times ``python -m graft --quiet neighbors``,
+``prior`` and ``record`` as child processes, start-up included
+(``cli_neighbors``, ``cli_prior``, ``cli_record``); each ``record`` call
+appends one entry, and it runs after the other two.
 
 Each round runs in a fresh child process that imports graft from the
 checkout's ``src/``, makes one warm-up call of every operation, then times
@@ -61,13 +62,15 @@ MEMORY = (1000, 10_000, 100_000)
 VARIANTS = ("-stale", "-distinct", "-sizes")  # ranking-only rungs
 OPERATIONS = (
     "build_substrate", "layout", "sample_method", "method_probability", "draw", "rank_neighbors", "compile_prior",
-    "load_memory", "cli_sample", "cli_neighbors", "cli_prior",
+    "load_memory", "cli_sample", "cli_neighbors", "cli_prior", "cli_record",
 )
 CLI = {"mem1000": 5, "mem10000": 3, "50": 5, "200": 5, "1000": 3}  # timed child processes per round, on these rungs
 MEMORY_CALLS = {
     "cli_neighbors": ["neighbors", "memory.jsonl", "--problem", "p.fp"],
     "cli_prior": ["prior", "memory.jsonl", "sub.json", "--problem", "p.fp", "--out", "rows.json"],
-}
+    "cli_record": ["record", "memory.jsonl", "--substrate", "sub.json", "--problem", "p.fp", "--method", "m.json",
+                   "--reward", "50.0"],
+}  # run in this order, so the record calls come last
 SAMPLE_CALLS = {"cli_sample": ["sample", "sub.json", "--rows", "rows.json", "--seed", "0"]}
 TRACED = ("retained_bytes_per_entry", "load_peak_traced_bytes")  # one traced load per memory rung
 # timed repeats per round: about 2,000 chain-draws' worth, at least 5, on a substrate rung
@@ -221,7 +224,7 @@ def worker(src: str, rungs: list[str], scale: float) -> dict:
                 out[rung].update(memory_load(repo, max(3, int(LOADS[rung] * scale))))
             if rung in CLI:
                 files = [(io.save_memory, repo, "memory.jsonl"), (io.save_substrate, s, "sub.json"),
-                         (io.save_fingerprint, query, "p.fp")]  # fmt: skip
+                         (io.save_fingerprint, query, "p.fp"), (io.save_method, repo.entries[0].method, "m.json")]  # fmt: skip
                 out[rung].update(cli_calls(src, MEMORY_CALLS, files, max(3, int(CLI[rung] * scale))))
             continue
         doc = morning_graph_document() if rung == "morning" else flat_document(int(rung))

@@ -109,7 +109,7 @@ def cmd_fingerprint(args) -> int:
         io.save_fingerprint(fp, _resolve(args.out))
         _say(args, f"fingerprint ({len(fp.cells)} cells at K={resolution}) written to {args.out}")
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(io._dump(payload), end="")
     return 0
 
 
@@ -123,17 +123,18 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_prior(args) -> int:
-    from .memory import PriorParams, compile_prior
+    from .memory import prior_from_neighbors
 
     s = _load_substrate_for(args)
     p_new = io.load_fingerprint(_resolve(args.problem))
-    repo = io.load_memory(
+    neighbors = io.load_neighbors(
         _resolve(args.memory),
+        p_new,
+        args.neighbors,
         problem_tree_version=p_new.tree_tag,
         action_tree_version=s.tree_version,
     )
-    params = PriorParams(n_neighbors=args.neighbors)
-    rows = compile_prior(repo, p_new, s, params)
+    rows = prior_from_neighbors(neighbors, s)  # what compile_prior blends from the same neighbours
     io.save_rows(rows, _resolve(args.out))
     _say(args, f"prior rows written to {args.out}")
     return 0
@@ -158,7 +159,7 @@ def cmd_sample(args) -> int:
     rows = _load_rows_for(args, s)
     avoid = frozenset(io.load_method_list(_resolve(args.avoid))) if args.avoid else frozenset()
     m = sample_method(s, rows, args.seed, avoid=avoid)
-    print(json.dumps(io.method_payload(m), sort_keys=True, indent=2))
+    print(io._dump(io.method_payload(m)), end="")
     return 0
 
 
@@ -186,7 +187,7 @@ def _check_gates(s, m) -> None:
 
 
 def cmd_record(args) -> int:
-    from .memory import MemoryEntry, record
+    from .memory import MemoryEntry, MemoryRepository
     from .policy import method_path_nodes, validate_tuple
 
     s = _load_substrate_for(args)
@@ -195,11 +196,8 @@ def cmd_record(args) -> int:
     validate_tuple(s, m)
     _check_gates(s, m)
     observables = io.load_observables(_resolve(args.observables)) if args.observables else {}
-    repo = io.load_memory(
-        _resolve(args.memory),
-        problem_tree_version=p_fp.tree_tag,
-        action_tree_version=s.tree_version,
-    )
+    path = _resolve(args.memory)
+    count = io.count_memory(path, problem_tree_version=p_fp.tree_tag, action_tree_version=s.tree_version)
     entry = MemoryEntry(
         problem_fp=p_fp,
         method=m,
@@ -207,21 +205,17 @@ def cmd_record(args) -> int:
         observables=observables,
         reward=args.reward,
     )
-    record(repo, entry)
-    io.append_memory(repo, entry, _resolve(args.memory))
-    _say(args, f"entry {len(repo)} appended to {args.memory}")
+    io.append_memory(MemoryRepository(p_fp.tree_tag, s.tree_version), entry, path)
+    _say(args, f"entry {count + 1} appended to {args.memory}")
     return 0
 
 
 def cmd_neighbors(args) -> int:
-    from .memory import rank_neighbors
-
     p_fp = io.load_fingerprint(_resolve(args.problem))
     try:
-        repo = io.load_memory(_resolve(args.memory), problem_tree_version=p_fp.tree_tag)
+        ranked = io.load_neighbors(_resolve(args.memory), p_fp, args.count, problem_tree_version=p_fp.tree_tag)
     except EmptyMemoryError:  # no entries, so no tree versions to check
         return 0
-    ranked = rank_neighbors(repo, p_fp, args.count)
     for entry, sim in ranked:
         print(f"{repr(sim)}\t{repr(entry.reward)}\t{json.dumps(entry.method.picks, sort_keys=True)}")
     return 0

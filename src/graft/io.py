@@ -5,7 +5,9 @@ format marker and the producing tree version; loading refuses mixed
 versions.  Serialization is byte-deterministic: sorted keys, fixed
 separators, one trailing newline.  Floats round-trip exactly through the
 shortest-repr encoding json uses for binary64.  Whole files are written
-through ``write_whole``; memory records are appended.
+through ``write_whole``; memory records are appended.  Every memory
+command reads its file through one scan that checks each record in order;
+only ``load_memory`` builds an entry for each.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import gc
 import json
 import os
+from collections import namedtuple
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from .build import Substrate, build_substrate, substrate_content_hash
 from .embedding import Embedding, Fingerprint
@@ -46,7 +49,8 @@ def _is(*types: type) -> Callable[[object], bool]:
 
 
 def _list_of(*types: type) -> Callable[[object], bool]:
-    return lambda v: type(v) is list and set(map(type, v)) <= set(types)
+    allowed = set(types)
+    return lambda v: type(v) is list and set(map(type, v)) <= allowed
 
 
 def _is_cells(v) -> bool:
@@ -283,25 +287,35 @@ def _entry_payload(entry: MemoryEntry, repo: MemoryRepository) -> dict:
     }
 
 
+def _fingerprint_reader() -> Callable[[dict], Fingerprint]:
+    """A function from a record's ``problem_fp`` to its fingerprint; equal
+    fingerprints resolve to the first one it met, so its results share them."""
+    fingerprints: dict[tuple, Fingerprint] = {}  # (cells, resolution, tree_tag, keep) -> one object
+
+    def read(payload: dict) -> Fingerprint:
+        key = _fingerprint_fields(payload)
+        fp = fingerprints.get(key)
+        if fp is None:
+            fp = fingerprints[key] = Fingerprint(*key)
+        return fp
+
+    return read
+
+
 def _entry_reader() -> Callable[[dict], MemoryEntry]:
-    """A function from a memory record to its entry.  Equal problem
-    fingerprints resolve to the first one it met, and node names to the
-    first equal string, so the entries of one load share them; method
-    pairs are shared through ``MethodTuple.from_picks``."""
+    """A function from a memory record to its entry.  The entries it makes
+    share equal problem fingerprints, and node names through the first equal
+    string; method pairs are shared through ``MethodTuple.from_picks``."""
     from .memory import MemoryEntry
     from .policy import MethodTuple
 
-    fingerprints: dict[tuple, Fingerprint] = {}  # (cells, resolution, tree_tag, keep) -> one object
+    fingerprint = _fingerprint_reader()
     share = {}.setdefault  # node name -> the first equal string
 
     def read(payload: dict) -> MemoryEntry:
-        key = _fingerprint_fields(payload["problem_fp"])
-        problem_fp = fingerprints.get(key)
-        if problem_fp is None:
-            problem_fp = fingerprints[key] = Fingerprint(*key)
         nodes = payload["method_path_nodes"]
         return MemoryEntry(
-            problem_fp=problem_fp,
+            problem_fp=fingerprint(payload["problem_fp"]),
             method=MethodTuple.from_picks(payload["method"]),
             method_path_nodes=map(share, nodes, nodes),  # MemoryEntry sorts the shared names into a tuple
             observables=dict(payload["observables"]),
@@ -340,23 +354,35 @@ def append_memory(repo: MemoryRepository, entry: MemoryEntry, path: str | Path) 
         fh.write(line.encode())
 
 
-def load_memory(
+def _lines(fh) -> Iterator[tuple[int, bytes]]:
+    """(byte offset, line) for each line of a file opened in binary, split where
+    text mode splits, at \\n, \\r\\n and a lone \\r; a line keeps its line end."""
+    offset = 0
+    for raw in fh:
+        for piece in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
+            yield offset, piece
+            offset += len(piece)
+
+
+def scan_memory(
     path: str | Path,
+    keep: Callable[[int, dict], object],
     problem_tree_version: str | None = None,
     action_tree_version: str | None = None,
-) -> MemoryRepository:
-    """Read a JSONL memory file; every record must agree on tree versions.
+) -> tuple[str, str]:
+    """Check every record of a JSONL memory file, in file order, and pass each
+    to ``keep`` with the byte offset of its line; return the tree versions.
 
-    An empty or missing file yields an empty repository with the supplied
-    versions (both must then be given).
+    Every record must agree on tree versions and pass ``check_entry``; an
+    error of that check or a ValueError of ``keep`` names the record's line.
+    An empty or missing file has the supplied versions (both must then be
+    given); a version supplied must match the file's.
     """
-    from .memory import MemoryRepository
+    from .memory import check_entry
 
     p = Path(path)
-    entries = []
     versions: tuple[str, str] | None = None
     if p.exists():
-        read = _entry_reader()
         collecting = gc.isenabled()
         # the parse allocates many containers and frees no cycles, so
         # collections would only rescan them
@@ -364,13 +390,20 @@ def load_memory(
         try:
             # line by line: a whole text and its list of long line strings
             # would be held through the parse and fragment the heap
-            with open(p) as fh:
-                for i, line in enumerate(fh, 1):
-                    line = line.removesuffix("\n")
+            with open(p, "rb", buffering=1 << 16) as fh:  # with 8 KiB reads, splitting took twice as long
+                for i, (offset, raw) in enumerate(_lines(fh), 1):
+                    where = f"{path}:{i}"
+                    try:
+                        line = raw.decode("utf-8")  # whatever the locale's encoding
+                    except UnicodeDecodeError as exc:
+                        raise GraftError(f"{where}: not UTF-8 ({exc})") from None
                     if not line.strip():
                         continue
-                    where = f"{path}:{i}"
-                    payload = _object(where, _parse_json(where, line), fields=MEMORY_FIELDS, kinds=MEMORY_KINDS)
+                    try:  # the line end is trailing whitespace to the parser
+                        payload = json.loads(line)
+                    except json.JSONDecodeError:  # an error's position as on the line without its end
+                        payload = _parse_json(where, line.rstrip("\r\n"))
+                    payload = _object(where, payload, fields=MEMORY_FIELDS, kinds=MEMORY_KINDS)
                     fp_where = f"{where}: problem_fp"
                     _object(fp_where, payload["problem_fp"], fields=FINGERPRINT_FIELDS, kinds=FINGERPRINT_KINDS)
                     record_versions = (payload["problem_tree_version"], payload["action_tree_version"])
@@ -379,8 +412,9 @@ def load_memory(
                     elif versions != record_versions:
                         raise VersionMismatchError(f"{where}: mixed tree versions in one memory file")
                     try:
-                        entries.append(read(payload))
-                    except ValueError as exc:  # MemoryEntry's reward and observable checks
+                        check_entry(payload["reward"], payload["observables"])
+                        keep(offset, payload)
+                    except ValueError as exc:
                         raise GraftError(f"{where}: {exc}") from None
         finally:
             if collecting:
@@ -397,11 +431,66 @@ def load_memory(
         raise VersionMismatchError(
             f"{path}: memory action tree {versions[1]} does not match {action_tree_version}"
         )
-    return MemoryRepository(
-        problem_tree_version=versions[0],
-        action_tree_version=versions[1],
-        entries=entries,
+    return versions
+
+
+def load_memory(
+    path: str | Path,
+    problem_tree_version: str | None = None,
+    action_tree_version: str | None = None,
+) -> MemoryRepository:
+    """Read a JSONL memory file, an entry per record, through ``scan_memory``."""
+    from .memory import MemoryRepository
+
+    entries: list[MemoryEntry] = []
+    read = _entry_reader()
+    versions = scan_memory(
+        path, lambda _, payload: entries.append(read(payload)), problem_tree_version, action_tree_version
     )
+    return MemoryRepository(*versions, entries=entries)
+
+
+def count_memory(path: str | Path, problem_tree_version: str, action_tree_version: str) -> int:
+    """The number of records ``load_memory`` would load, building none."""
+    records: list[None] = []
+    scan_memory(path, lambda _, __: records.append(None), problem_tree_version, action_tree_version)
+    return len(records)
+
+
+# what ranking reads of a memory record, and the byte offset of its line
+_RankView = namedtuple("_RankView", "problem_fp reward stale offset")
+
+
+def load_neighbors(
+    path: str | Path,
+    p_new: Fingerprint,
+    n: int,
+    problem_tree_version: str | None = None,
+    action_tree_version: str | None = None,
+) -> list[tuple[MemoryEntry, float]]:
+    """``rank_neighbors(load_memory(path, ...), p_new, n)``, its errors included,
+    building only the entries it returns: the scan keeps of each record what
+    ranking reads, and the winners' lines are read again.  Memory files are
+    only ever appended to, so an offset stays the start of its record."""
+    from .memory import MemoryRepository, rank_neighbors
+
+    kept: list[_RankView] = []
+    fingerprint = _fingerprint_reader()
+
+    def keep(offset: int, payload: dict) -> None:
+        kept.append(_RankView(fingerprint(payload["problem_fp"]), payload["reward"], payload.get("stale", False), offset))
+
+    versions = scan_memory(path, keep, problem_tree_version, action_tree_version)
+    ranked = rank_neighbors(MemoryRepository(*versions, entries=kept), p_new, n)
+    if not ranked:
+        return []
+    read, built = _entry_reader(), []
+    with open(path, "rb") as fh:
+        for record, similarity in ranked:
+            fh.seek(record.offset)
+            _, line = next(_lines(fh))
+            built.append((read(json.loads(line.decode("utf-8"))), similarity))
+    return built
 
 
 # -- embeddings ---------------------------------------------------------------

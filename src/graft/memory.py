@@ -48,11 +48,17 @@ class MemoryEntry:
     stale: bool = False
 
     def __post_init__(self):
-        # a tuple of 25 shared names takes a tenth of a frozenset's table
-        self.method_path_nodes = tuple(sorted(set(self.method_path_nodes)))
-        if not 0.0 <= self.reward <= R_MAX:
-            raise ValueError(f"reward {self.reward} outside [0, {R_MAX}]")
-        check_observables(self.observables)
+        # a tuple of 25 shared names takes a tenth of a frozenset's table; the names
+        # are deduplicated after the sort, which runs in one pass on a stored path
+        self.method_path_nodes = tuple(dict.fromkeys(sorted(self.method_path_nodes)))
+        check_entry(self.reward, self.observables)
+
+
+def check_entry(reward: float, observables: dict[str, float]) -> None:
+    """Refuse a reward outside [0, R_MAX], then observables ``check_observables`` refuses."""
+    if not 0.0 <= reward <= R_MAX:
+        raise ValueError(f"reward {reward} outside [0, {R_MAX}]")
+    check_observables(observables)
 
 
 def check_observables(observables: dict[str, float]) -> None:
@@ -237,7 +243,9 @@ def rank_neighbors(
     """Top-n non-stale entries by similarity desc, reward desc, insertion order.
 
     Similarities equal ``jaccard``'s bit for bit, and a non-stale entry
-    that ``jaccard`` cannot compare with ``p_new`` raises its error.
+    that ``jaccard`` cannot compare with ``p_new`` raises its error.  Only
+    an entry's ``problem_fp``, ``reward`` and ``stale`` are read, so any
+    object holding those ranks as its entry would.
     """
     if n <= 0:
         return []
@@ -291,6 +299,13 @@ def compile_prior(
     substrate: Substrate,
     params: PriorParams = PriorParams(),
 ) -> PolicyRows:
+    """The rows ``prior_from_neighbors`` blends from ``p_new``'s ranked neighbours in ``repo``."""
+    if p_new.tree_tag != repo.problem_tree_version:
+        raise VersionMismatchError("query fingerprint does not match the repository's problem tree")
+    return prior_from_neighbors(rank_neighbors(repo, p_new, params.n_neighbors), substrate)
+
+
+def prior_from_neighbors(neighbors: list[tuple[MemoryEntry, float]], substrate: Substrate) -> PolicyRows:
     """Blend neighbour votes with the uniform prior, then apply certain rules.
 
     Row-wise: M_data is the weight-averaged mix of one-hot votes (rows a
@@ -299,12 +314,8 @@ def compile_prior(
     is W_bar * M_data + (1 - W_bar) * uniform with W_bar the clipped average
     confidence of the neighbours carrying positive weight.
     """
-    if p_new.tree_tag != repo.problem_tree_version:
-        raise VersionMismatchError("query fingerprint does not match the repository's problem tree")
     tree = substrate.tree
     base = uniform_rows(substrate)
-
-    neighbors = rank_neighbors(repo, p_new, params.n_neighbors)
     weights = [neighbor_weight(sim, e.reward) for e, sim in neighbors]
     w_tot = sum(weights)
     n_eff = sum(1 for w in weights if w > 0.0)
