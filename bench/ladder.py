@@ -29,9 +29,14 @@ a pool of 1,000 random sets of 1 to 60 of the 60 options of a 20-chain tree,
 so that they hold many cell counts, against a query of 30 options.  The
 smoke run takes the variants at 10^3 entries.  On ``mem1000`` and
 ``mem10000`` the ladder also times ``python -m graft --quiet neighbors``,
-``prior`` and ``record`` as child processes, start-up included
-(``cli_neighbors``, ``cli_prior``, ``cli_record``); each ``record`` call
-appends one entry, and it runs after the other two.
+``prior`` and ``record`` as child processes, start-up included, each twice:
+cold, with the memory file's ``.checked`` sidecar deleted before each call
+(``cli_neighbors_cold``, ``cli_prior_cold``, ``cli_record_cold``), and warm,
+with the sidecar the calls before left (``cli_neighbors``, ``cli_prior``,
+``cli_record``).  Each ``record`` call appends one entry, and they run after
+the other two.  After them, one more ``neighbors`` call brings the sidecar up
+to date, and the ladder reports its size as a share of the memory file's
+(``sidecar_share``; 0 for a checkout that writes none).
 
 Each round runs in a fresh child process that imports graft from the
 checkout's ``src/``, makes one warm-up call of every operation, then times
@@ -62,7 +67,8 @@ MEMORY = (1000, 10_000, 100_000)
 VARIANTS = ("-stale", "-distinct", "-sizes")  # ranking-only rungs
 OPERATIONS = (
     "build_substrate", "layout", "sample_method", "method_probability", "draw", "rank_neighbors", "compile_prior",
-    "load_memory", "cli_sample", "cli_neighbors", "cli_prior", "cli_record",
+    "load_memory", "cli_sample", "cli_neighbors_cold", "cli_neighbors", "cli_prior_cold", "cli_prior",
+    "cli_record_cold", "cli_record",
 )
 CLI = {"mem1000": 5, "mem10000": 3, "50": 5, "200": 5, "1000": 3}  # timed child processes per round, on these rungs
 MEMORY_CALLS = {
@@ -70,7 +76,7 @@ MEMORY_CALLS = {
     "cli_prior": ["prior", "memory.jsonl", "sub.json", "--problem", "p.fp", "--out", "rows.json"],
     "cli_record": ["record", "memory.jsonl", "--substrate", "sub.json", "--problem", "p.fp", "--method", "m.json",
                    "--reward", "50.0"],
-}  # run in this order, so the record calls come last
+}  # run in this order, each cold then warm, so the record calls come last
 SAMPLE_CALLS = {"cli_sample": ["sample", "sub.json", "--rows", "rows.json", "--seed", "0"]}
 TRACED = ("retained_bytes_per_entry", "load_peak_traced_bytes")  # one traced load per memory rung
 # timed repeats per round: about 2,000 chain-draws' worth, at least 5, on a substrate rung
@@ -161,21 +167,34 @@ def memory_load(repo, reps: int) -> dict:
     }
 
 
-def cli_calls(src: str, calls: dict[str, list[str]], files: list[tuple], reps: int) -> dict:
+def cli_calls(src: str, calls: dict[str, list[str]], files: list[tuple], reps: int, memory: bool = False) -> dict:
     """Median seconds of ``reps`` child processes of ``python -m graft --quiet``
     per call, start-up included, in a directory where each ``(save, artifact,
-    name)`` of ``files`` has written its file."""
+    name)`` of ``files`` has written its file.  With ``memory``, each call is
+    also timed cold (``<op>_cold``, first), with the sidecar of
+    ``memory.jsonl`` deleted before it, and the sidecar's share is reported."""
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         for save, artifact, name in files:
             save(artifact, Path(tmp) / name)
         env = dict(os.environ, PYTHONPATH=src, GRAFT_WORKSPACE=tmp)
+        path, sidecar = Path(tmp) / "memory.jsonl", Path(tmp) / "memory.jsonl.checked"
 
-        def run(argv):
+        def run(argv, cold=False):
+            if cold:
+                sidecar.unlink(missing_ok=True)
             subprocess.run([sys.executable, "-m", "graft", "--quiet", *argv], env=env, stdout=subprocess.DEVNULL, check=True)
 
-        return {op: _median_time(run, [(argv,)] * (reps + 1)) for op, argv in calls.items()}
+        out = {}
+        for op, argv in calls.items():
+            if memory:
+                out[f"{op}_cold"] = _median_time(run, [(argv, True)] * (reps + 1))
+            out[op] = _median_time(run, [(argv,)] * (reps + 1))
+        if memory:
+            run(MEMORY_CALLS["cli_neighbors"])
+            out["sidecar_share"] = sidecar.stat().st_size / path.stat().st_size if sidecar.exists() else 0.0
+        return out
 
 
 def draw_op():
@@ -225,7 +244,7 @@ def worker(src: str, rungs: list[str], scale: float) -> dict:
             if rung in CLI:
                 files = [(io.save_memory, repo, "memory.jsonl"), (io.save_substrate, s, "sub.json"),
                          (io.save_fingerprint, query, "p.fp"), (io.save_method, repo.entries[0].method, "m.json")]  # fmt: skip
-                out[rung].update(cli_calls(src, MEMORY_CALLS, files, max(3, int(CLI[rung] * scale))))
+                out[rung].update(cli_calls(src, MEMORY_CALLS, files, max(3, int(CLI[rung] * scale)), memory=True))
             continue
         doc = morning_graph_document() if rung == "morning" else flat_document(int(rung))
         graph = graph_from_document(doc)
@@ -300,6 +319,15 @@ def summarise_traced(rounds: list[dict], rungs: list[str]) -> dict:
     }
 
 
+def summarise_shares(rounds: list[dict], rungs: list[str]) -> dict:
+    """Per memory rung timed by child processes: the median sidecar share over rounds."""
+    return {
+        rung: statistics.median(r[rung]["sidecar_share"] for r in rounds)
+        for rung in rungs
+        if "sidecar_share" in rounds[0][rung]
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", type=Path, help="a second checkout, timed in alternating rounds")
@@ -339,6 +367,7 @@ def main(argv=None) -> int:
         "rounds": rounds,
         "rungs": {side: summarise(results[side], rungs) for side in sides},
         "traced": {side: summarise_traced(results[side], rungs) for side in sides},
+        "sidecar_share": {side: summarise_shares(results[side], rungs) for side in sides},
         "rev": {side: _rev(path) for side, path in sides.items()},
     }
     for op in OPERATIONS:
@@ -352,6 +381,9 @@ def main(argv=None) -> int:
         for key in TRACED:
             cells = [f"{side} {report['traced'][side][rung][key]:11.0f}" for side in sides]
             print(f"{key:24s} {rung:>10s}  " + "  ".join(cells) + "  B")
+    for rung in report["sidecar_share"]["after"]:
+        cells = [f"{side} {report['sidecar_share'][side][rung]:11.4f}" for side in sides]
+        print(f"{'sidecar_share':24s} {rung:>10s}  " + "  ".join(cells))
     if args.out is not None:
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"written to {args.out}", file=sys.stderr)

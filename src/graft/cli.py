@@ -109,7 +109,7 @@ def cmd_fingerprint(args) -> int:
         io.save_fingerprint(fp, _resolve(args.out))
         _say(args, f"fingerprint ({len(fp.cells)} cells at K={resolution}) written to {args.out}")
     else:
-        print(io._dump(payload), end="")
+        print(io.indented_json(payload), end="")
     return 0
 
 
@@ -159,7 +159,7 @@ def cmd_sample(args) -> int:
     rows = _load_rows_for(args, s)
     avoid = frozenset(io.load_method_list(_resolve(args.avoid))) if args.avoid else frozenset()
     m = sample_method(s, rows, args.seed, avoid=avoid)
-    print(io._dump(io.method_payload(m)), end="")
+    print(io.indented_json(io.method_payload(m)), end="")
     return 0
 
 

@@ -186,8 +186,14 @@ def graph_to_document(g: KnowledgeGraph) -> dict:
     return doc
 
 
+def indented_json(payload) -> str:
+    """The indented form of a JSON document: sorted keys, two-space indents,
+    one trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def serialize_graph(g: KnowledgeGraph) -> str:
-    return json.dumps(graph_to_document(g), indent=2, sort_keys=True) + "\n"
+    return indented_json(graph_to_document(g))
 
 
 def depth_first(vertices, successors) -> tuple[list[str], list[tuple[str, str]], dict[str, str]]:

@@ -7,7 +7,9 @@ separators, one trailing newline.  Floats round-trip exactly through the
 shortest-repr encoding json uses for binary64.  Whole files are written
 through ``write_whole``; memory records are appended.  Every memory
 command reads its file through one scan that checks each record in order;
-only ``load_memory`` builds an entry for each.
+only ``load_memory`` builds an entry for each.  The scans of ``record``,
+``neighbors`` and ``prior`` keep what they checked in a sidecar beside the
+memory file, keyed by each line's SHA-256, and skip the lines it holds.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import gc
 import json
 import os
 from collections import namedtuple
+from hashlib import sha256
+from io import BytesIO
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
@@ -23,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 from .build import Substrate, build_substrate, substrate_content_hash
 from .embedding import Embedding, Fingerprint
 from .errors import EmptyMemoryError, GraftError, VersionMismatchError
-from .graph import KnowledgeGraph, graph_from_document, graph_to_document
+from .graph import KnowledgeGraph, graph_from_document, graph_to_document, indented_json
 
 if TYPE_CHECKING:  # imported by the loaders that need them, so other subcommands skip them
     from .memory import MemoryEntry, MemoryRepository
@@ -85,10 +89,13 @@ MEMORY_KINDS: dict[str, Kind] = {
 }
 ROWS_FILE_KINDS: dict[str, Kind] = {"rows": OBJECT, "tree_version": STRING}
 ROW_KINDS: dict[str, Kind] = {"options": STRINGS, "mass": (_list_of(int, float), "a list of numbers")}
-
-
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+CHECKED_FORMAT = "graft-memory-checked/1"
+CHECKED_FIELDS = ("fingerprints", "versions", "records")
+CHECKED_KINDS: dict[str, Kind] = {
+    "fingerprints": (_list_of(dict), "a list of objects"),
+    "versions": (_list_of(list), "a list of lists"),
+    "records": OBJECT,
+}
 
 
 def json_line(payload) -> str:
@@ -166,7 +173,7 @@ def save_substrate(s: Substrate, path: str | Path) -> None:
         "content_hash": substrate_content_hash(doc),
         "tree_version": s.tree_version,
     }
-    write_whole(path, _dump(payload))
+    write_whole(path, indented_json(payload))
 
 
 def load_substrate(path: str | Path) -> Substrate:
@@ -192,7 +199,7 @@ def save_rows(rows: PolicyRows, path: str | Path) -> None:
             for node, r in sorted(rows.rows.items())
         },
     }
-    write_whole(path, _dump(payload))
+    write_whole(path, indented_json(payload))
 
 
 def load_rows(path: str | Path) -> PolicyRows:
@@ -223,7 +230,7 @@ def fingerprint_payload(fp: Fingerprint) -> dict:
 
 
 def save_fingerprint(fp: Fingerprint, path: str | Path) -> None:
-    write_whole(path, _dump(fingerprint_payload(fp)))
+    write_whole(path, indented_json(fingerprint_payload(fp)))
 
 
 def _fingerprint_fields(payload: dict) -> tuple:
@@ -244,7 +251,7 @@ def method_payload(m: MethodTuple) -> dict:
 
 
 def save_method(m: MethodTuple, path: str | Path) -> None:
-    write_whole(path, _dump(method_payload(m)))
+    write_whole(path, indented_json(method_payload(m)))
 
 
 def load_method(path: str | Path) -> MethodTuple:
@@ -272,13 +279,17 @@ def load_method_list(path: str | Path) -> list[MethodTuple]:
 # -- memory (JSON Lines, append-friendly) -------------------------------------
 
 
+def _problem_fp_payload(fp: Fingerprint) -> dict:
+    payload = fingerprint_payload(fp)
+    del payload["format"]  # memory records have never carried the marker
+    return payload
+
+
 def _entry_payload(entry: MemoryEntry, repo: MemoryRepository) -> dict:
-    problem_fp = fingerprint_payload(entry.problem_fp)
-    del problem_fp["format"]  # memory records have never carried the marker
     return {
         "problem_tree_version": repo.problem_tree_version,
         "action_tree_version": repo.action_tree_version,
-        "problem_fp": problem_fp,
+        "problem_fp": _problem_fp_payload(entry.problem_fp),
         "method": entry.method.picks,
         "method_path_nodes": sorted(entry.method_path_nodes),
         "observables": dict(sorted(entry.observables.items())),
@@ -364,11 +375,163 @@ def _lines(fh) -> Iterator[tuple[int, bytes]]:
             offset += len(piece)
 
 
+# what ranking and counting read of a checked record: its problem fingerprint,
+# its reward, its stale flag and its (problem, action) tree versions
+_View = namedtuple("_View", "problem_fp reward stale versions")
+
+
+def _sidecar(path: str | Path) -> Path:
+    return Path(f"{path}.checked")
+
+
+def _read_checked(sidecar: Path, fingerprint: Callable[[dict], Fingerprint]) -> dict[str, _View]:
+    """The views a sidecar holds, by the hex SHA-256 of their lines; none when
+    it is missing, unreadable, malformed or of another format."""
+    from .memory import check_entry
+
+    try:
+        doc = _object(sidecar, json.loads(sidecar.read_bytes()), CHECKED_FORMAT, CHECKED_FIELDS, CHECKED_KINDS)
+        fps = [
+            fingerprint(_object(sidecar, p, fields=FINGERPRINT_FIELDS, kinds=FINGERPRINT_KINDS))
+            for p in doc["fingerprints"]
+        ]
+        versions = [tuple(pair) for pair in doc["versions"]]
+        if not all(len(pair) == 2 and set(map(type, pair)) <= {str} for pair in versions):
+            return {}
+        views = doc["records"]
+        for digest, (f, reward, stale, v) in views.items():
+            if not (type(f) is type(v) is int and 0 <= f < len(fps) and 0 <= v < len(versions)):
+                return {}
+            if type(stale) is not bool or not NUMBER[0](reward):
+                return {}
+            check_entry(reward, {})
+            views[digest] = _View(fps[f], reward, stale, versions[v])
+        return views
+    except (OSError, ValueError, TypeError, RecursionError, GraftError):
+        return {}
+
+
+def _write_checked(sidecar: Path, seen: dict[str, _View]) -> None:
+    """Replace the sidecar with the views of ``seen``; one that cannot be
+    written is left as it was."""
+    fps: dict[Fingerprint, int] = {}
+    versions: dict[tuple[str, str], int] = {}
+    records = {
+        digest: [fps.setdefault(view.problem_fp, len(fps)), view.reward, view.stale,
+                 versions.setdefault(view.versions, len(versions))]
+        for digest, view in seen.items()
+    }  # fmt: skip
+    # the bytes json_line gives the whole record, with the fingerprint table
+    # (its key sorts first) encoded a payload at a time: encoded in one call,
+    # its cells took 2.5 MB of small strings for 110 KB of text at 2,000 entries
+    table = ",".join(json_line(_problem_fp_payload(fp))[:-1] for fp in fps)
+    rest = json_line({"format": CHECKED_FORMAT, "records": records, "versions": list(versions)})
+    try:
+        write_whole(sidecar, f'{{"fingerprints":[{table}],{rest[1:]}')
+    except OSError:
+        pass  # the next scan finds it missing or as it was, and checks every line it does not hold
+
+
+def _record(where: str, raw: bytes) -> dict | None:
+    """A memory line's record, checked on its own; None for a blank line."""
+    try:
+        line = raw.decode("utf-8")  # whatever the locale's encoding
+    except UnicodeDecodeError as exc:
+        raise GraftError(f"{where}: not UTF-8 ({exc})") from None
+    if not line.strip():
+        return None
+    try:  # the line end is trailing whitespace to the parser
+        payload = json.loads(line)
+    except json.JSONDecodeError:  # an error's position as on the line without its end
+        payload = _parse_json(where, line.rstrip("\r\n"))
+    payload = _object(where, payload, fields=MEMORY_FIELDS, kinds=MEMORY_KINDS)
+    _object(f"{where}: problem_fp", payload["problem_fp"], fields=FINGERPRINT_FIELDS, kinds=FINGERPRINT_KINDS)
+    return payload
+
+
+def _open_memory(path: str | Path):
+    """``path`` opened for a scan; a missing file reads as empty."""
+    # line by line: a whole text and its list of long line strings would be
+    # held through the parse and fragment the heap; with 8 KiB reads,
+    # splitting took twice as long
+    return open(path, "rb", buffering=1 << 16) if Path(path).exists() else BytesIO()
+
+
+def _scan(
+    path: str | Path,
+    fh,
+    keep: Callable[[int, object], object],
+    problem_tree_version: str | None,
+    action_tree_version: str | None,
+    views: bool,
+) -> tuple[str, str]:
+    """``scan_memory`` over ``fh``, the file at ``path`` opened in binary."""
+    from .memory import check_entry
+
+    versions: tuple[str, str] | None = None
+    seen: dict[str, _View] = {}  # with views: each line's digest and view, in file order
+    parsed = 0  # with views: the lines the sidecar did not hold
+    collecting = gc.isenabled()
+    # the parse allocates many containers and frees no cycles, so
+    # collections would only rescan them
+    gc.disable()
+    try:
+        if views:
+            fingerprint = _fingerprint_reader()  # shared by the sidecar's views and the lines parsed
+            cached = _read_checked(_sidecar(path), fingerprint)
+        for i, (offset, raw) in enumerate(_lines(fh), 1):
+            digest = sha256(raw).hexdigest() if views else None
+            view = cached.get(digest) if views else None
+            if view is None:
+                payload = _record(f"{path}:{i}", raw)
+                if payload is None:
+                    continue
+                record_versions = (payload["problem_tree_version"], payload["action_tree_version"])
+            else:
+                record_versions = view.versions
+            if versions is None:
+                versions = record_versions
+            elif versions != record_versions:
+                raise VersionMismatchError(f"{path}:{i}: mixed tree versions in one memory file")
+            try:
+                if view is None:
+                    check_entry(payload["reward"], payload["observables"])
+                    if views:
+                        parsed += 1
+                        view = _View(
+                            fingerprint(payload["problem_fp"]), payload["reward"], payload.get("stale", False), versions
+                        )
+                if views:
+                    seen[digest] = view
+                keep(offset, view if views else payload)
+            except ValueError as exc:
+                raise GraftError(f"{path}:{i}: {exc}") from None
+        if versions is None:
+            if problem_tree_version is None or action_tree_version is None:
+                raise EmptyMemoryError(f"{path}: empty memory needs explicit tree versions")
+            versions = (problem_tree_version, action_tree_version)
+        if problem_tree_version is not None and versions[0] != problem_tree_version:
+            raise VersionMismatchError(
+                f"{path}: memory problem tree {versions[0]} does not match {problem_tree_version}"
+            )
+        if action_tree_version is not None and versions[1] != action_tree_version:
+            raise VersionMismatchError(
+                f"{path}: memory action tree {versions[1]} does not match {action_tree_version}"
+            )
+        if parsed:  # a scan that checked a line anew and ended without error
+            _write_checked(_sidecar(path), seen)
+    finally:
+        if collecting:
+            gc.enable()
+    return versions
+
+
 def scan_memory(
     path: str | Path,
-    keep: Callable[[int, dict], object],
+    keep: Callable[[int, object], object],
     problem_tree_version: str | None = None,
     action_tree_version: str | None = None,
+    views: bool = False,
 ) -> tuple[str, str]:
     """Check every record of a JSONL memory file, in file order, and pass each
     to ``keep`` with the byte offset of its line; return the tree versions.
@@ -377,61 +540,15 @@ def scan_memory(
     error of that check or a ValueError of ``keep`` names the record's line.
     An empty or missing file has the supplied versions (both must then be
     given); a version supplied must match the file's.
-    """
-    from .memory import check_entry
 
-    p = Path(path)
-    versions: tuple[str, str] | None = None
-    if p.exists():
-        collecting = gc.isenabled()
-        # the parse allocates many containers and frees no cycles, so
-        # collections would only rescan them
-        gc.disable()
-        try:
-            # line by line: a whole text and its list of long line strings
-            # would be held through the parse and fragment the heap
-            with open(p, "rb", buffering=1 << 16) as fh:  # with 8 KiB reads, splitting took twice as long
-                for i, (offset, raw) in enumerate(_lines(fh), 1):
-                    where = f"{path}:{i}"
-                    try:
-                        line = raw.decode("utf-8")  # whatever the locale's encoding
-                    except UnicodeDecodeError as exc:
-                        raise GraftError(f"{where}: not UTF-8 ({exc})") from None
-                    if not line.strip():
-                        continue
-                    try:  # the line end is trailing whitespace to the parser
-                        payload = json.loads(line)
-                    except json.JSONDecodeError:  # an error's position as on the line without its end
-                        payload = _parse_json(where, line.rstrip("\r\n"))
-                    payload = _object(where, payload, fields=MEMORY_FIELDS, kinds=MEMORY_KINDS)
-                    fp_where = f"{where}: problem_fp"
-                    _object(fp_where, payload["problem_fp"], fields=FINGERPRINT_FIELDS, kinds=FINGERPRINT_KINDS)
-                    record_versions = (payload["problem_tree_version"], payload["action_tree_version"])
-                    if versions is None:
-                        versions = record_versions
-                    elif versions != record_versions:
-                        raise VersionMismatchError(f"{where}: mixed tree versions in one memory file")
-                    try:
-                        check_entry(payload["reward"], payload["observables"])
-                        keep(offset, payload)
-                    except ValueError as exc:
-                        raise GraftError(f"{where}: {exc}") from None
-        finally:
-            if collecting:
-                gc.enable()
-    if versions is None:
-        if problem_tree_version is None or action_tree_version is None:
-            raise EmptyMemoryError(f"{path}: empty memory needs explicit tree versions")
-        versions = (problem_tree_version, action_tree_version)
-    if problem_tree_version is not None and versions[0] != problem_tree_version:
-        raise VersionMismatchError(
-            f"{path}: memory problem tree {versions[0]} does not match {problem_tree_version}"
-        )
-    if action_tree_version is not None and versions[1] != action_tree_version:
-        raise VersionMismatchError(
-            f"{path}: memory action tree {versions[1]} does not match {action_tree_version}"
-        )
-    return versions
+    ``keep`` gets the record's payload, or with ``views`` its ``_View``.  A
+    scan for views reads the sidecar ``<path>.checked``: a line whose SHA-256
+    it holds is not decoded or parsed again, and a scan that parsed a line
+    and ended without error rewrites the sidecar with the lines it saw.  A
+    sidecar that is missing, unreadable or malformed is treated as empty.
+    """
+    with _open_memory(path) as fh:
+        return _scan(path, fh, keep, problem_tree_version, action_tree_version, views)
 
 
 def load_memory(
@@ -453,7 +570,7 @@ def load_memory(
 def count_memory(path: str | Path, problem_tree_version: str, action_tree_version: str) -> int:
     """The number of records ``load_memory`` would load, building none."""
     records: list[None] = []
-    scan_memory(path, lambda _, __: records.append(None), problem_tree_version, action_tree_version)
+    scan_memory(path, lambda _, __: records.append(None), problem_tree_version, action_tree_version, views=True)
     return len(records)
 
 
@@ -470,23 +587,19 @@ def load_neighbors(
 ) -> list[tuple[MemoryEntry, float]]:
     """``rank_neighbors(load_memory(path, ...), p_new, n)``, its errors included,
     building only the entries it returns: the scan keeps of each record what
-    ranking reads, and the winners' lines are read again.  Memory files are
-    only ever appended to, so an offset stays the start of its record."""
+    ranking reads, and the winners' lines are read again through the handle
+    scanned, so a file replaced in between is not the one read."""
     from .memory import MemoryRepository, rank_neighbors
 
     kept: list[_RankView] = []
-    fingerprint = _fingerprint_reader()
 
-    def keep(offset: int, payload: dict) -> None:
-        kept.append(_RankView(fingerprint(payload["problem_fp"]), payload["reward"], payload.get("stale", False), offset))
+    def keep(offset: int, view: _View) -> None:
+        kept.append(_RankView(view.problem_fp, view.reward, view.stale, offset))
 
-    versions = scan_memory(path, keep, problem_tree_version, action_tree_version)
-    ranked = rank_neighbors(MemoryRepository(*versions, entries=kept), p_new, n)
-    if not ranked:
-        return []
     read, built = _entry_reader(), []
-    with open(path, "rb") as fh:
-        for record, similarity in ranked:
+    with _open_memory(path) as fh:
+        versions = _scan(path, fh, keep, problem_tree_version, action_tree_version, views=True)
+        for record, similarity in rank_neighbors(MemoryRepository(*versions, entries=kept), p_new, n):
             fh.seek(record.offset)
             _, line = next(_lines(fh))
             built.append((read(json.loads(line.decode("utf-8"))), similarity))
@@ -506,7 +619,7 @@ def save_embedding(e: Embedding, path: str | Path) -> None:
         "rect": {n: list(r) for n, r in sorted(e.rect.items())},
         "entered_by": dict(sorted(e.entered_by.items())),
     }
-    write_whole(path, _dump(payload))
+    write_whole(path, indented_json(payload))
 
 
 def load_embedding(path: str | Path) -> Embedding:

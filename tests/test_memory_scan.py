@@ -3,16 +3,21 @@
 ``record`` counts the records it scans, and ``neighbors`` and ``prior`` rank
 what the scan keeps of each record and build only the entries they return.
 Every memory command reports a bad record as one error line naming its file
-and line, and leaves the file as it was.
+and line, and leaves the file as it was.  The scans of ``record``,
+``neighbors`` and ``prior`` keep what they checked in a sidecar keyed by each
+line's SHA-256; whatever the sidecar holds, they give what a scan without it
+gives.
 """
 
 import contextlib
 import copy
 import gc
+import hashlib
 import io as _io
 import json
 import tempfile
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -287,3 +292,302 @@ def test_memory_scan_restores_the_collector_state(tmp_path, collecting):
             assert gc.isenabled() is collecting
     finally:
         gc.enable() if was else gc.disable()
+
+
+# -- the checked sidecar -----------------------------------------------------------
+
+
+def _set_sidecar(path: Path, state) -> None:
+    """Put ``state`` beside the memory file ``path``: None for no sidecar,
+    ``"directory"`` for a directory in its place, else the sidecar's bytes."""
+    sidecar = io._sidecar(path)
+    if sidecar.is_dir():
+        sidecar.rmdir()
+    sidecar.unlink(missing_ok=True)
+    if state == "directory":
+        sidecar.mkdir()
+    elif state is not None:
+        sidecar.write_bytes(state)
+
+
+def _within(tmp: Path, argv: list[str]) -> list[str]:
+    """``argv`` with the files a memory command names put in ``tmp``."""
+    return [str(tmp / a) if a in ("memory.jsonl", "asub.json", "p.fp", "m.json", "rows.json") else a for a in argv]
+
+
+def _outcome(tmp: Path, argv: list[str], memory: bytes, sidecar) -> tuple:
+    """Exit code, stdout, stderr, rows file and memory bytes of one in-process
+    call on ``memory`` with ``sidecar`` beside it, and the sidecar it leaves."""
+    path, rows = tmp / "memory.jsonl", tmp / "rows.json"
+    path.write_bytes(memory)
+    rows.unlink(missing_ok=True)
+    _set_sidecar(path, sidecar)
+    out, err = _io.StringIO(), _io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--quiet", *argv])
+    left = io._sidecar(path).read_bytes() if io._sidecar(path).is_file() else None
+    return (code, out.getvalue(), err.getvalue(), rows.read_bytes() if rows.exists() else None, path.read_bytes()), left
+
+
+def _retagged(line: bytes, **fields) -> bytes:
+    """``line`` with ``fields`` replaced, its line end kept; as it was if it is not a record."""
+    body = line.rstrip(b"\r\n")
+    try:
+        record = json.loads(body)
+    except ValueError:
+        return line
+    if not isinstance(record, dict):
+        return line
+    return io.json_line({**record, **fields}).encode()[:-1] + line[len(body):]
+
+
+EDITS = ("append-valid", "append-invalid", "truncate", "change-byte", "swap", "mix-versions", "crlf", "lone-cr",
+         "blank", "no-last-end")  # fmt: skip
+
+
+CORRUPTIONS = {  # a well-formed sidecar whose views are not: each makes the whole sidecar unusable
+    "short-view": lambda doc: {**doc, "records": {d: v[:3] for d, v in doc["records"].items()}},
+    "reward-string": lambda doc: {**doc, "records": {d: [f, str(r), s, v] for d, (f, r, s, v) in doc["records"].items()}},
+    "reward-out-of-range": lambda doc: {**doc, "records": {d: [f, 500, s, v] for d, (f, r, s, v) in doc["records"].items()}},
+    "stale-number": lambda doc: {**doc, "records": {d: [f, r, 1, v] for d, (f, r, s, v) in doc["records"].items()}},
+    "fingerprint-index": lambda doc: {**doc, "records": {d: [len(doc["fingerprints"]), r, s, v] for d, (f, r, s, v) in doc["records"].items()}},
+    "versions-triple": lambda doc: {**doc, "versions": [[*pair, "x"] for pair in doc["versions"]]},
+    "cells-not-triples": lambda doc: {**doc, "fingerprints": [{**fp, "cells": [[0, 0]]} for fp in doc["fingerprints"]]},
+}  # fmt: skip
+
+
+def _corrupted(sidecar, how: str) -> bytes:
+    return io.json_line(CORRUPTIONS[how](json.loads(sidecar))).encode() if sidecar else b"[]"
+
+
+def _scanned_sidecar(path: Path, memory: bytes):
+    """The sidecar a scan for views leaves beside ``memory``, written at ``path``; None if it refuses the memory."""
+    path.write_bytes(memory)
+    _set_sidecar(path, None)
+    with contextlib.suppress(GraftError):
+        io.scan_memory(path, lambda offset, view: None, views=True)
+    return io._sidecar(path).read_bytes() if io._sidecar(path).exists() else None
+
+
+@st.composite
+def edited_memories(draw):
+    """(query, n, base, edited, corruption): a memory's bytes before and after
+    random edits, and a way to spoil the views of a sidecar."""
+    repo, query, n = draw(memories())
+    lines = [io.json_line(io._entry_payload(e, repo)).encode() for e in repo.entries]
+    base = b"".join(lines)
+    for edit in draw(st.lists(st.sampled_from(EDITS), max_size=3)):
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "append-valid":
+            m = draw(st.sampled_from(METHODS))
+            entry = MemoryEntry(query, m, method_path_nodes(S, m), {"wall": 1.5}, draw(st.sampled_from([3, 42.25])))
+            lines.append(io.json_line(io._entry_payload(entry, repo)).encode())
+        elif edit == "append-invalid":
+            lines.append(draw(st.sampled_from([b'{"torn": \n', b"[]\n", b'{"reward": 1}\n'])))
+        elif edit == "truncate":
+            del lines[at:]
+        elif not lines:
+            continue
+        elif edit == "change-byte":
+            line = lines[at]
+            i = draw(st.integers(0, len(line) - 1))
+            lines[at] = line[:i] + bytes([draw(st.integers(0, 255))]) + line[i + 1 :]
+        elif edit == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif edit == "mix-versions":
+            lines[at] = _retagged(lines[at], problem_tree_version="other")
+        elif edit in ("crlf", "lone-cr"):
+            if lines[at].endswith(b"\n") and not lines[at].endswith(b"\r\n"):
+                lines[at] = lines[at][:-1] + (b"\r\n" if edit == "crlf" else b"\r")
+        elif edit == "blank":
+            lines.insert(at, draw(st.sampled_from([b"\n", b"  \r\n", b"\r"])))
+        elif edit == "no-last-end":
+            lines[-1] = lines[-1].rstrip(b"\r\n")
+    return query, n, base, b"".join(lines), draw(st.sampled_from(sorted(CORRUPTIONS)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(edited_memories())
+def test_a_sidecar_never_changes_what_record_neighbors_and_prior_give(case):
+    query, n, base, edited, corruption = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        io.save_fingerprint(query, tmp / "p.fp")
+        io.save_substrate(S, tmp / "asub.json")
+        io.save_method(METHODS[0], tmp / "m.json")
+        path = tmp / "memory.jsonl"
+        earlier = _scanned_sidecar(path, base)  # the sidecar of the memory before its edits
+        # and of the memory with every record under another problem tree, so that
+        # the records that an edit moved there are held, and come mixed with others
+        retagged = b"".join(_retagged(line, problem_tree_version="other") for line in base.splitlines(keepends=True))
+        foreign = _scanned_sidecar(path, retagged)
+        commands = [[*RECORD[:-1], "2.5"], [*NEIGHBORS, "-n", str(n)], [*PRIOR, "--neighbors", str(n)]]
+        for argv in map(partial(_within, tmp), commands):
+            expected, fresh = _outcome(tmp, argv, edited, None)
+            assert expected[4] == edited or (argv[0] == "record" and expected[4].startswith(edited))
+            whole = earlier or b'{"fingerprints":[],"format":"graft-memory-checked/1","records":{},"versions":[]}\n'
+            states = {
+                "fresh": fresh,
+                "earlier": earlier,
+                "foreign": foreign,
+                corruption: _corrupted(earlier, corruption),
+                "cut-short": whole[: len(whole) // 2],
+                "garbage": b"\x00{not json\xff\n",
+                "too-deep": b"[" * 100_000,
+                "directory": "directory",
+                "wrong-format": whole.replace(b"graft-memory-checked/1", b"graft-memory-checked/0"),
+            }
+            for state, sidecar in states.items():
+                assert _outcome(tmp, argv, edited, sidecar)[0] == expected, (argv[0], state)
+            _set_sidecar(path, None)
+
+
+def test_a_warm_scan_parses_only_the_lines_its_sidecar_lacks(tmp_path, monkeypatch):
+    path = _morning_memory(tmp_path, 4)
+    loaded = io.load_memory(path)
+    cold = _main(*NEIGHBORS[:1], str(path), "--problem", str(tmp_path / "p.fp"))
+    parsed = []
+    record = io._record
+    monkeypatch.setattr(io, "_record", lambda where, raw: parsed.append(where) or record(where, raw))
+    assert _main(*NEIGHBORS[:1], str(path), "--problem", str(tmp_path / "p.fp")) == cold
+    assert parsed == []
+    with open(path, "ab") as fh:
+        fh.write(path.read_bytes().splitlines(keepends=True)[0])  # a record already met, so already checked
+        fh.write(b"\n")
+    assert _main(*NEIGHBORS[:1], str(path), "--problem", str(tmp_path / "p.fp")) == cold
+    assert parsed == [f"{path}:6"]  # the blank line is read, and holds no record
+    assert io.count_memory(path, loaded.problem_tree_version, loaded.action_tree_version) == 5
+    assert parsed == [f"{path}:6", f"{path}:6"]  # a blank line is never held
+
+
+def test_the_sidecar_is_one_json_line_record_of_the_lines_scanned(tmp_path):
+    path = _morning_memory(tmp_path, 3)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert not io._sidecar(path).exists()
+    io.count_memory(path, *io.scan_memory(path, lambda offset, payload: None))
+    text = io._sidecar(path).read_text()
+    doc = json.loads(text)
+    assert text == io.json_line(doc) and doc["format"] == "graft-memory-checked/1"
+    loaded = io.load_memory(path)
+    assert doc["versions"] == [[loaded.problem_tree_version, loaded.action_tree_version]]
+    assert sorted(doc["records"]) == sorted(hashlib.sha256(line).hexdigest() for line in lines)
+    for line, entry in zip(lines, loaded.entries):
+        f, reward, stale, v = doc["records"][hashlib.sha256(line).hexdigest()]
+        assert (reward, stale, v) == (entry.reward, entry.stale, 0)
+        fp = doc["fingerprints"][f]
+        assert Fingerprint(frozenset(map(tuple, fp["cells"])), fp["resolution"], fp["tree_tag"], fp["keep"]) == entry.problem_fp
+
+
+@pytest.mark.parametrize("name", ["record", "neighbors", "prior"])
+def test_a_scan_that_ends_in_an_error_writes_no_sidecar(name, tmp_path):
+    path = _morning_memory(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join([*lines, b'{"torn": \n']))
+    assert run_cli(*COMMANDS[name], cwd=tmp_path).returncode == 1
+    assert not io._sidecar(path).exists()
+    path.write_bytes(b"".join(lines))
+    assert io.count_memory(path, *io.scan_memory(path, lambda offset, payload: None)) == 3
+    held = io._sidecar(path).read_bytes()
+    path.write_bytes(b"".join([*lines, _retagged(lines[0], reward=500.0)]))
+    out = run_cli(*COMMANDS[name], cwd=tmp_path)
+    assert_one_error_line(out)
+    assert f"{path}:4: reward 500.0 outside" in out.stderr
+    assert io._sidecar(path).read_bytes() == held
+
+
+@pytest.mark.parametrize("name", ["record", "neighbors", "prior"])
+def test_a_sidecar_that_cannot_be_written_changes_nothing(name, tmp_path, monkeypatch):
+    path = _morning_memory(tmp_path)
+    before = path.read_bytes()
+    argv = _within(tmp_path, COMMANDS[name])
+    expected, written = _outcome(tmp_path, argv, before, None)
+    assert expected[0] == 0 and written is not None
+    write_whole = io.write_whole
+
+    def refuse_sidecar(target, text):  # a permission bit would not stop root
+        if str(target).endswith(".checked"):
+            raise PermissionError(13, "Permission denied", str(target))
+        write_whole(target, text)
+
+    monkeypatch.setattr(io, "write_whole", refuse_sidecar)
+    assert _outcome(tmp_path, argv, before, None) == (expected, None)
+    assert _outcome(tmp_path, argv, before, written) == (expected, written)
+
+
+def test_load_neighbors_reads_the_winners_from_the_file_it_scanned(tmp_path, monkeypatch):
+    import graft.memory
+
+    _, repo = _trial_repository()
+    path = tmp_path / "memory.jsonl"
+    io.save_memory(repo, path)
+    query = repo.entries[2].problem_fp
+    expected = rank_neighbors(io.load_memory(path), query, 3)
+    other = MemoryRepository(repo.problem_tree_version, repo.action_tree_version)
+    for entry in reversed(repo.entries):
+        fresh = copy.copy(entry)
+        fresh.observables = {"x": 1.0, **entry.observables}
+        other.entries.append(fresh)
+    check_entry = graft.memory.check_entry
+
+    def replace_then_check(reward, observables):
+        if not replaced:
+            replaced.append(path)
+            io.save_memory(other, path)  # a temporary file moved over the one being scanned
+        check_entry(reward, observables)
+
+    for warm in (False, True):  # replaced while its lines are checked, or while its sidecar is read
+        replaced = []
+        io.save_memory(repo, path)
+        _set_sidecar(path, None)
+        if warm:
+            io.count_memory(path, repo.problem_tree_version, repo.action_tree_version)
+        monkeypatch.setattr(graft.memory, "check_entry", replace_then_check)
+        got = io.load_neighbors(path, query, 3)
+        monkeypatch.undo()
+        assert replaced and io.load_memory(path).entries == other.entries
+        assert [(e, sim.hex()) for e, sim in got] == [(e, sim.hex()) for e, sim in expected]
+
+
+def test_library_loads_and_saves_write_no_sidecar(tmp_path):
+    path = _morning_memory(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    io.load_memory(path)
+    io.scan_memory(path, lambda offset, payload: None)
+    io.save_memory(io.load_memory(path), path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_the_views_scan_streams_its_file(tmp_path, warm):
+    # with or without its sidecar, a scan for views keeps nothing, and its peak
+    # does not grow with the bytes of the lines it reads: it holds no line or payload
+    _, repo = _trial_repository()
+    trial = list(repo.entries)
+    peaks, sizes = [], []
+    for padding in (0, 150):
+        repo.entries = []
+        for i in range(200):
+            for entry in trial:
+                fresh = copy.copy(entry)
+                fresh.reward = (i * 7.25) % 100.0
+                fresh.observables = {f"o{k:03d}": k * 0.5 for k in range(padding)}
+                repo.entries.append(fresh)
+        path = tmp_path / f"memory{padding}.jsonl"
+        io.save_memory(repo, path)
+        io.count_memory(path, repo.problem_tree_version, repo.action_tree_version)  # the encoder's first-call caches
+        if not warm:
+            io._sidecar(path).unlink()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            count = io.count_memory(path, repo.problem_tree_version, repo.action_tree_version)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == len(repo.entries) and io._sidecar(path).exists()
+        assert retained - before < 4096, retained - before
+        peaks.append(peak - before)
+        sizes.append(path.stat().st_size)
+    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 8, (peaks, sizes)
