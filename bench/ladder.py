@@ -167,13 +167,15 @@ def memory_load(repo, reps: int) -> dict:
     }
 
 
-def cli_calls(src: str, calls: dict[str, list[str]], files: list[tuple], reps: int, memory: bool = False) -> dict:
+def cli_calls(src: str, calls: dict[str, list[str]], files: list[tuple], reps: int) -> dict:
     """Median seconds of ``reps`` child processes of ``python -m graft --quiet``
     per call, start-up included, in a directory where each ``(save, artifact,
-    name)`` of ``files`` has written its file.  With ``memory``, each call is
-    also timed cold (``<op>_cold``, first), with the sidecar of
-    ``memory.jsonl`` deleted before it, and the sidecar's share is reported."""
+    name)`` of ``files`` has written its file.  Calls on ``memory.jsonl`` are
+    also timed cold (``<op>_cold``, first), with its sidecar deleted before
+    each, and the sidecar's share of the memory file is reported."""
     import tempfile
+
+    memory = any("memory.jsonl" in argv for argv in calls.values())
 
     with tempfile.TemporaryDirectory() as tmp:
         for save, artifact, name in files:
@@ -244,7 +246,7 @@ def worker(src: str, rungs: list[str], scale: float) -> dict:
             if rung in CLI:
                 files = [(io.save_memory, repo, "memory.jsonl"), (io.save_substrate, s, "sub.json"),
                          (io.save_fingerprint, query, "p.fp"), (io.save_method, repo.entries[0].method, "m.json")]  # fmt: skip
-                out[rung].update(cli_calls(src, MEMORY_CALLS, files, max(3, int(CLI[rung] * scale)), memory=True))
+                out[rung].update(cli_calls(src, MEMORY_CALLS, files, max(3, int(CLI[rung] * scale))))
             continue
         doc = morning_graph_document() if rung == "morning" else flat_document(int(rung))
         graph = graph_from_document(doc)

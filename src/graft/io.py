@@ -8,8 +8,8 @@ shortest-repr encoding json uses for binary64.  Whole files are written
 through ``write_whole``; memory records are appended.  Every memory
 command reads its file through one scan that checks each record in order;
 only ``load_memory`` builds an entry for each.  The scans of ``record``,
-``neighbors`` and ``prior`` keep what they checked in a sidecar beside the
-memory file, keyed by each line's SHA-256, and skip the lines it holds.
+``neighbors`` and ``prior`` skip the lines the memory file's sidecar holds
+(``graft.checked``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import gc
 import json
 import os
 from collections import namedtuple
-from hashlib import sha256
 from io import BytesIO
 from itertools import chain
 from pathlib import Path
@@ -30,6 +29,7 @@ from .errors import EmptyMemoryError, GraftError, VersionMismatchError
 from .graph import KnowledgeGraph, graph_from_document, graph_to_document, indented_json
 
 if TYPE_CHECKING:  # imported by the loaders that need them, so other subcommands skip them
+    from .checked import View
     from .memory import MemoryEntry, MemoryRepository
     from .policy import MethodTuple, PolicyRows
 
@@ -89,13 +89,6 @@ MEMORY_KINDS: dict[str, Kind] = {
 }
 ROWS_FILE_KINDS: dict[str, Kind] = {"rows": OBJECT, "tree_version": STRING}
 ROW_KINDS: dict[str, Kind] = {"options": STRINGS, "mass": (_list_of(int, float), "a list of numbers")}
-CHECKED_FORMAT = "graft-memory-checked/1"
-CHECKED_FIELDS = ("fingerprints", "versions", "records")
-CHECKED_KINDS: dict[str, Kind] = {
-    "fingerprints": (_list_of(dict), "a list of objects"),
-    "versions": (_list_of(list), "a list of lists"),
-    "records": OBJECT,
-}
 
 
 def json_line(payload) -> str:
@@ -375,63 +368,6 @@ def _lines(fh) -> Iterator[tuple[int, bytes]]:
             offset += len(piece)
 
 
-# what ranking and counting read of a checked record: its problem fingerprint,
-# its reward, its stale flag and its (problem, action) tree versions
-_View = namedtuple("_View", "problem_fp reward stale versions")
-
-
-def _sidecar(path: str | Path) -> Path:
-    return Path(f"{path}.checked")
-
-
-def _read_checked(sidecar: Path, fingerprint: Callable[[dict], Fingerprint]) -> dict[str, _View]:
-    """The views a sidecar holds, by the hex SHA-256 of their lines; none when
-    it is missing, unreadable, malformed or of another format."""
-    from .memory import check_entry
-
-    try:
-        doc = _object(sidecar, json.loads(sidecar.read_bytes()), CHECKED_FORMAT, CHECKED_FIELDS, CHECKED_KINDS)
-        fps = [
-            fingerprint(_object(sidecar, p, fields=FINGERPRINT_FIELDS, kinds=FINGERPRINT_KINDS))
-            for p in doc["fingerprints"]
-        ]
-        versions = [tuple(pair) for pair in doc["versions"]]
-        if not all(len(pair) == 2 and set(map(type, pair)) <= {str} for pair in versions):
-            return {}
-        views = doc["records"]
-        for digest, (f, reward, stale, v) in views.items():
-            if not (type(f) is type(v) is int and 0 <= f < len(fps) and 0 <= v < len(versions)):
-                return {}
-            if type(stale) is not bool or not NUMBER[0](reward):
-                return {}
-            check_entry(reward, {})
-            views[digest] = _View(fps[f], reward, stale, versions[v])
-        return views
-    except (OSError, ValueError, TypeError, RecursionError, GraftError):
-        return {}
-
-
-def _write_checked(sidecar: Path, seen: dict[str, _View]) -> None:
-    """Replace the sidecar with the views of ``seen``; one that cannot be
-    written is left as it was."""
-    fps: dict[Fingerprint, int] = {}
-    versions: dict[tuple[str, str], int] = {}
-    records = {
-        digest: [fps.setdefault(view.problem_fp, len(fps)), view.reward, view.stale,
-                 versions.setdefault(view.versions, len(versions))]
-        for digest, view in seen.items()
-    }  # fmt: skip
-    # the bytes json_line gives the whole record, with the fingerprint table
-    # (its key sorts first) encoded a payload at a time: encoded in one call,
-    # its cells took 2.5 MB of small strings for 110 KB of text at 2,000 entries
-    table = ",".join(json_line(_problem_fp_payload(fp))[:-1] for fp in fps)
-    rest = json_line({"format": CHECKED_FORMAT, "records": records, "versions": list(versions)})
-    try:
-        write_whole(sidecar, f'{{"fingerprints":[{table}],{rest[1:]}')
-    except OSError:
-        pass  # the next scan finds it missing or as it was, and checks every line it does not hold
-
-
 def _record(where: str, raw: bytes) -> dict | None:
     """A memory line's record, checked on its own; None for a blank line."""
     try:
@@ -463,25 +399,26 @@ def _scan(
     keep: Callable[[int, object], object],
     problem_tree_version: str | None,
     action_tree_version: str | None,
-    views: bool,
+    views: bool = False,
 ) -> tuple[str, str]:
-    """``scan_memory`` over ``fh``, the file at ``path`` opened in binary."""
+    """``scan_memory`` over ``fh``, the file at ``path`` opened in binary.
+    With ``views``, ``keep`` gets each record's ``checked.View``: a line the
+    sidecar holds is not parsed again, and a scan that checked a line anew
+    and ended without error rewrites the sidecar."""
     from .memory import check_entry
 
     versions: tuple[str, str] | None = None
-    seen: dict[str, _View] = {}  # with views: each line's digest and view, in file order
-    parsed = 0  # with views: the lines the sidecar did not hold
     collecting = gc.isenabled()
     # the parse allocates many containers and frees no cycles, so
     # collections would only rescan them
     gc.disable()
     try:
         if views:
-            fingerprint = _fingerprint_reader()  # shared by the sidecar's views and the lines parsed
-            cached = _read_checked(_sidecar(path), fingerprint)
+            from .checked import Checked
+
+            checked = Checked(path, _fingerprint_reader())
         for i, (offset, raw) in enumerate(_lines(fh), 1):
-            digest = sha256(raw).hexdigest() if views else None
-            view = cached.get(digest) if views else None
+            view = checked.view(raw) if views else None
             if view is None:
                 payload = _record(f"{path}:{i}", raw)
                 if payload is None:
@@ -497,12 +434,7 @@ def _scan(
                 if view is None:
                     check_entry(payload["reward"], payload["observables"])
                     if views:
-                        parsed += 1
-                        view = _View(
-                            fingerprint(payload["problem_fp"]), payload["reward"], payload.get("stale", False), versions
-                        )
-                if views:
-                    seen[digest] = view
+                        view = checked.check(payload, versions)
                 keep(offset, view if views else payload)
             except ValueError as exc:
                 raise GraftError(f"{path}:{i}: {exc}") from None
@@ -518,8 +450,8 @@ def _scan(
             raise VersionMismatchError(
                 f"{path}: memory action tree {versions[1]} does not match {action_tree_version}"
             )
-        if parsed:  # a scan that checked a line anew and ended without error
-            _write_checked(_sidecar(path), seen)
+        if views:
+            checked.save()
     finally:
         if collecting:
             gc.enable()
@@ -528,10 +460,9 @@ def _scan(
 
 def scan_memory(
     path: str | Path,
-    keep: Callable[[int, object], object],
+    keep: Callable[[int, dict], object],
     problem_tree_version: str | None = None,
     action_tree_version: str | None = None,
-    views: bool = False,
 ) -> tuple[str, str]:
     """Check every record of a JSONL memory file, in file order, and pass each
     to ``keep`` with the byte offset of its line; return the tree versions.
@@ -540,15 +471,9 @@ def scan_memory(
     error of that check or a ValueError of ``keep`` names the record's line.
     An empty or missing file has the supplied versions (both must then be
     given); a version supplied must match the file's.
-
-    ``keep`` gets the record's payload, or with ``views`` its ``_View``.  A
-    scan for views reads the sidecar ``<path>.checked``: a line whose SHA-256
-    it holds is not decoded or parsed again, and a scan that parsed a line
-    and ended without error rewrites the sidecar with the lines it saw.  A
-    sidecar that is missing, unreadable or malformed is treated as empty.
     """
     with _open_memory(path) as fh:
-        return _scan(path, fh, keep, problem_tree_version, action_tree_version, views)
+        return _scan(path, fh, keep, problem_tree_version, action_tree_version)
 
 
 def load_memory(
@@ -570,7 +495,8 @@ def load_memory(
 def count_memory(path: str | Path, problem_tree_version: str, action_tree_version: str) -> int:
     """The number of records ``load_memory`` would load, building none."""
     records: list[None] = []
-    scan_memory(path, lambda _, __: records.append(None), problem_tree_version, action_tree_version, views=True)
+    with _open_memory(path) as fh:
+        _scan(path, fh, lambda _, __: records.append(None), problem_tree_version, action_tree_version, views=True)
     return len(records)
 
 
@@ -593,7 +519,7 @@ def load_neighbors(
 
     kept: list[_RankView] = []
 
-    def keep(offset: int, view: _View) -> None:
+    def keep(offset: int, view: View) -> None:
         kept.append(_RankView(view.problem_fp, view.reward, view.stale, offset))
 
     read, built = _entry_reader(), []

@@ -15,6 +15,10 @@ import gc
 import hashlib
 import io as _io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from functools import partial
@@ -41,7 +45,7 @@ from graft import (
     sample_method,
     uniform_rows,
 )
-from graft import cli, io
+from graft import checked, cli, io
 from graft.fixtures import morning_graph, morning_graph_document
 
 from test_lean_memory import _trial_repository
@@ -300,7 +304,7 @@ def test_memory_scan_restores_the_collector_state(tmp_path, collecting):
 def _set_sidecar(path: Path, state) -> None:
     """Put ``state`` beside the memory file ``path``: None for no sidecar,
     ``"directory"`` for a directory in its place, else the sidecar's bytes."""
-    sidecar = io._sidecar(path)
+    sidecar = checked.sidecar(path)
     if sidecar.is_dir():
         sidecar.rmdir()
     sidecar.unlink(missing_ok=True)
@@ -325,7 +329,7 @@ def _outcome(tmp: Path, argv: list[str], memory: bytes, sidecar) -> tuple:
     out, err = _io.StringIO(), _io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["--quiet", *argv])
-    left = io._sidecar(path).read_bytes() if io._sidecar(path).is_file() else None
+    left = checked.sidecar(path).read_bytes() if checked.sidecar(path).is_file() else None
     return (code, out.getvalue(), err.getvalue(), rows.read_bytes() if rows.exists() else None, path.read_bytes()), left
 
 
@@ -361,12 +365,12 @@ def _corrupted(sidecar, how: str) -> bytes:
 
 
 def _scanned_sidecar(path: Path, memory: bytes):
-    """The sidecar a scan for views leaves beside ``memory``, written at ``path``; None if it refuses the memory."""
+    """The sidecar ``record``'s scan leaves beside ``memory``, written at ``path``; None if it refuses the memory."""
     path.write_bytes(memory)
     _set_sidecar(path, None)
     with contextlib.suppress(GraftError):
-        io.scan_memory(path, lambda offset, view: None, views=True)
-    return io._sidecar(path).read_bytes() if io._sidecar(path).exists() else None
+        io.count_memory(path, None, None)  # the versions of the file
+    return checked.sidecar(path).read_bytes() if checked.sidecar(path).exists() else None
 
 
 @st.composite
@@ -426,7 +430,8 @@ def test_a_sidecar_never_changes_what_record_neighbors_and_prior_give(case):
         for argv in map(partial(_within, tmp), commands):
             expected, fresh = _outcome(tmp, argv, edited, None)
             assert expected[4] == edited or (argv[0] == "record" and expected[4].startswith(edited))
-            whole = earlier or b'{"fingerprints":[],"format":"graft-memory-checked/1","records":{},"versions":[]}\n'
+            empty = {"fingerprints": [], "format": checked.FORMAT, "records": {}, "rules": checked.rules(), "versions": []}
+            whole = earlier or io.json_line(empty).encode()
             states = {
                 "fresh": fresh,
                 "earlier": earlier,
@@ -437,6 +442,7 @@ def test_a_sidecar_never_changes_what_record_neighbors_and_prior_give(case):
                 "too-deep": b"[" * 100_000,
                 "directory": "directory",
                 "wrong-format": whole.replace(b"graft-memory-checked/1", b"graft-memory-checked/0"),
+                "other-rules": whole.replace(checked.rules().encode(), b"0" * 64),
             }
             for state, sidecar in states.items():
                 assert _outcome(tmp, argv, edited, sidecar)[0] == expected, (argv[0], state)
@@ -464,11 +470,11 @@ def test_a_warm_scan_parses_only_the_lines_its_sidecar_lacks(tmp_path, monkeypat
 def test_the_sidecar_is_one_json_line_record_of_the_lines_scanned(tmp_path):
     path = _morning_memory(tmp_path, 3)
     lines = path.read_bytes().splitlines(keepends=True)
-    assert not io._sidecar(path).exists()
+    assert not checked.sidecar(path).exists()
     io.count_memory(path, *io.scan_memory(path, lambda offset, payload: None))
-    text = io._sidecar(path).read_text()
+    text = checked.sidecar(path).read_text()
     doc = json.loads(text)
-    assert text == io.json_line(doc) and doc["format"] == "graft-memory-checked/1"
+    assert text == io.json_line(doc) and doc["format"] == "graft-memory-checked/1" and doc["rules"] == checked.rules()
     loaded = io.load_memory(path)
     assert doc["versions"] == [[loaded.problem_tree_version, loaded.action_tree_version]]
     assert sorted(doc["records"]) == sorted(hashlib.sha256(line).hexdigest() for line in lines)
@@ -479,21 +485,57 @@ def test_the_sidecar_is_one_json_line_record_of_the_lines_scanned(tmp_path):
         assert Fingerprint(frozenset(map(tuple, fp["cells"])), fp["resolution"], fp["tree_tag"], fp["keep"]) == entry.problem_fp
 
 
+def test_a_sidecar_made_under_other_rules_is_not_used(tmp_path, monkeypatch):
+    # a change to what a memory line must satisfy changes the rules digest, so
+    # a sidecar of lines checked before it vouches for none of them
+    path = _morning_memory(tmp_path, 4)
+    argv = [*NEIGHBORS[:1], str(path), "--problem", str(tmp_path / "p.fp")]
+    cold = _main(*argv)
+    parsed = []
+    record = io._record
+    monkeypatch.setattr(io, "_record", lambda where, raw: parsed.append(where) or record(where, raw))
+    monkeypatch.setattr(checked, "rules", lambda: "0" * 64)
+    assert _main(*argv) == cold
+    assert parsed == [f"{path}:{i}" for i in range(1, 5)]
+    assert json.loads(checked.sidecar(path).read_bytes())["rules"] == "0" * 64
+    assert _main(*argv) == cold and len(parsed) == 4
+
+
+def test_the_rules_digest_follows_the_checking_code(tmp_path):
+    source = Path(checked.__file__).parent
+
+    def rules(tree: Path) -> str:
+        code = "import graft.checked; print(graft.checked.rules())"
+        env = {**os.environ, "PYTHONPATH": str(tree), "PYTHONDONTWRITEBYTECODE": "1"}
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+    trees = {}
+    for name in ("same", "io", "memory", "checked"):
+        trees[name] = tmp_path / name
+        shutil.copytree(source, trees[name] / "graft", ignore=shutil.ignore_patterns("__pycache__"))
+    for name in ("io", "memory", "checked"):
+        with open(trees[name] / "graft" / f"{name}.py", "a") as fh:
+            fh.write("# a changed line\n")
+    digests = {name: rules(tree) for name, tree in trees.items()}
+    assert digests["same"] == checked.rules() + "\n"
+    assert len(set(digests.values())) == 4, digests
+
+
 @pytest.mark.parametrize("name", ["record", "neighbors", "prior"])
 def test_a_scan_that_ends_in_an_error_writes_no_sidecar(name, tmp_path):
     path = _morning_memory(tmp_path)
     lines = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(b"".join([*lines, b'{"torn": \n']))
     assert run_cli(*COMMANDS[name], cwd=tmp_path).returncode == 1
-    assert not io._sidecar(path).exists()
+    assert not checked.sidecar(path).exists()
     path.write_bytes(b"".join(lines))
     assert io.count_memory(path, *io.scan_memory(path, lambda offset, payload: None)) == 3
-    held = io._sidecar(path).read_bytes()
+    held = checked.sidecar(path).read_bytes()
     path.write_bytes(b"".join([*lines, _retagged(lines[0], reward=500.0)]))
     out = run_cli(*COMMANDS[name], cwd=tmp_path)
     assert_one_error_line(out)
     assert f"{path}:4: reward 500.0 outside" in out.stderr
-    assert io._sidecar(path).read_bytes() == held
+    assert checked.sidecar(path).read_bytes() == held
 
 
 @pytest.mark.parametrize("name", ["record", "neighbors", "prior"])
@@ -577,7 +619,7 @@ def test_the_views_scan_streams_its_file(tmp_path, warm):
         io.save_memory(repo, path)
         io.count_memory(path, repo.problem_tree_version, repo.action_tree_version)  # the encoder's first-call caches
         if not warm:
-            io._sidecar(path).unlink()
+            checked.sidecar(path).unlink()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -586,7 +628,7 @@ def test_the_views_scan_streams_its_file(tmp_path, warm):
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert count == len(repo.entries) and io._sidecar(path).exists()
+        assert count == len(repo.entries) and checked.sidecar(path).exists()
         assert retained - before < 4096, retained - before
         peaks.append(peak - before)
         sizes.append(path.stat().st_size)
