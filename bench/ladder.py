@@ -11,7 +11,7 @@ or the morning fixture.  On each one the ladder times ``build_substrate``
 ``PolicyRows``.  On the flat rungs it also times ``python -m graft --quiet
 sample`` with uniform rows as a child process, start-up included
 (``cli_sample``).  On the morning rung it times ``draw``: one seed word from
-``loop._iteration_seed`` (five iterations per base seed, as in a trial of
+``stream.spawn_word`` (five iterations per base seed, as in a trial of
 budget 5), one stream seeded with it, and one ``random()``.  A memory rung ``memN`` holds N entries (N = 10^3, 10^4 and
 10^5) in warm-start-style blocks: ten entries share one problem fingerprint,
 drawn from a pool of 64 problems on a 12-chain tree, so that a query that
@@ -200,19 +200,18 @@ def cli_calls(src: str, calls: dict[str, list[str]], files: list[tuple], reps: i
 
 
 def draw_op():
-    """One seed word from ``_iteration_seed``, one stream seeded with it, one ``random()``."""
-    from graft.loop import _iteration_seed
-
+    """One seed word from ``spawn_word``, one stream seeded with it, one ``random()``."""
     try:
-        from graft.stream import Stream
+        from graft.stream import Stream, spawn_word
     except ImportError:  # a checkout from before graft drew on its own stream
         import numpy as np
+        from graft.loop import _iteration_seed as spawn_word
 
         def Stream(seed):
             return np.random.Generator(np.random.PCG64(seed))
 
     def draw(n: int) -> float:
-        return Stream(_iteration_seed(n // 5, n % 5, 0)).random()
+        return Stream(spawn_word(n // 5, n % 5, 0)).random()
 
     return draw
 

@@ -2,10 +2,11 @@
 
 The scans of ``record``, ``neighbors`` and ``prior`` keep beside the memory
 file what they checked of each of its records: one ``io.json_line`` record
-that maps the hex SHA-256 of each line's bytes, line end included, to what
-ranking and counting read of it (a ``View``).  A line whose digest the
-sidecar holds is not decoded or parsed again.  ``load_memory``, and so
-``loop``, ``landscape`` and the library, never reads or writes it.
+that names the file's (problem, action) tree versions once and maps the hex
+SHA-256 of each line's bytes, line end included, to what ranking and
+counting read of it.  A line whose digest the sidecar holds is not decoded
+or parsed again.  ``load_memory``, and so ``loop``, ``landscape`` and the
+library, never reads or writes it.
 
 The sidecar names the rules its lines were checked under: a digest of the
 sources of the modules that decide whether a line is accepted and what its
@@ -29,18 +30,18 @@ from . import io, memory
 from .embedding import Fingerprint
 from .errors import GraftError
 
-FORMAT = "graft-memory-checked/1"  # the layout below; the checks are covered by "rules"
+FORMAT = "graft-memory-checked/1"  # this layout; the rules digest, which covers this source, retires older ones
 FIELDS = ("fingerprints", "records", "rules", "versions")
 KINDS: dict[str, io.Kind] = {
     "fingerprints": (io._list_of(dict), "a list of objects"),
     "records": io.OBJECT,
     "rules": io.STRING,
-    "versions": (io._list_of(list), "a list of lists"),
+    "versions": (lambda v: io.STRINGS[0](v) and len(v) == 2, "two strings"),
 }
 
 # what ranking and counting read of a checked record: its problem fingerprint,
-# its reward, its stale flag and its (problem, action) tree versions
-View = namedtuple("View", "problem_fp reward stale versions")
+# its reward and its stale flag; and the byte offset of its line
+View = namedtuple("View", "problem_fp reward stale offset")
 
 
 def sidecar(path: str | Path) -> Path:
@@ -58,78 +59,72 @@ def rules() -> str:
     return digest.hexdigest()
 
 
-def _read(path: Path, rules: str, fingerprint: Callable[[dict], Fingerprint]) -> dict[str, View]:
-    """The views the sidecar at ``path`` holds, by the hex SHA-256 of their
-    lines; none when it is missing, unreadable, malformed, of another format
-    or made under other rules."""
+def _read(path: Path, rules: str, fingerprint: Callable[[dict], Fingerprint]) -> tuple[tuple | None, dict]:
+    """The tree versions of the sidecar at ``path``, and the (fingerprint,
+    reward, stale) of each record it holds by the hex SHA-256 of its line;
+    none when it is missing, unreadable, malformed, of another format or
+    made under other rules."""
     try:
-        doc = io._object(path, json.loads(path.read_bytes()), FORMAT, FIELDS, KINDS)
+        doc = io._object(path, json.loads(io._read_text(path)), FORMAT, FIELDS, KINDS)
         if doc["rules"] != rules:
-            return {}
+            return None, {}
         fps = [
             fingerprint(io._object(path, p, fields=io.FINGERPRINT_FIELDS, kinds=io.FINGERPRINT_KINDS))
             for p in doc["fingerprints"]
         ]
-        versions = [tuple(pair) for pair in doc["versions"]]
-        if not all(len(pair) == 2 and set(map(type, pair)) <= {str} for pair in versions):
-            return {}
-        views = doc["records"]
-        for digest, (f, reward, stale, v) in views.items():
-            if not (type(f) is type(v) is int and 0 <= f < len(fps) and 0 <= v < len(versions)):
-                return {}
-            if type(stale) is not bool or not io.NUMBER[0](reward):
-                return {}
+        held = doc["records"]
+        for digest, (f, reward, stale) in held.items():
+            if not (type(f) is int and 0 <= f < len(fps)) or type(stale) is not bool or not io.NUMBER[0](reward):
+                return None, {}
             memory.check_entry(reward, {})
-            views[digest] = View(fps[f], reward, stale, versions[v])
-        return views
+            held[digest] = (fps[f], reward, stale)
+        return tuple(doc["versions"]), held
     except (OSError, ValueError, TypeError, RecursionError, GraftError):
-        return {}
+        return None, {}
 
 
 class Checked:
     """The sidecar of the memory file at ``path`` through one scan of it: the
-    views it holds, and the view of each line the scan met."""
+    records it holds, their tree versions, and the record of each line the
+    scan met."""
 
     def __init__(self, path: str | Path, fingerprint: Callable[[dict], Fingerprint]):
         self.path = sidecar(path)
-        self.fingerprint = fingerprint  # shared by the sidecar's views and the lines checked anew
+        self.fingerprint = fingerprint  # shared by the sidecar's records and the lines checked anew
         try:
             self.rules = rules()
         except (OSError, TypeError):  # no source to take the digest of: hold nothing, write nothing
             self.rules = None
-        self.held = _read(self.path, self.rules, fingerprint) if self.rules else {}
-        self.seen: dict[str, View] = {}  # each line's digest and view, in file order
+        self.versions, self.held = _read(self.path, self.rules, fingerprint) if self.rules else (None, {})
+        self.seen: dict[str, tuple] = {}  # each line's digest and held record, in file order
         self.digest = ""  # of the line last looked up
         self.checked = 0  # the lines the sidecar did not hold
 
-    def view(self, raw: bytes) -> View | None:
-        """The view the sidecar holds of the line ``raw``, or None."""
+    def view(self, raw: bytes, offset: int) -> View | None:
+        """The view of the line ``raw`` at byte ``offset``, if the sidecar holds it."""
         self.digest = sha256(raw).hexdigest()
-        view = self.held.get(self.digest)
-        if view is not None:
-            self.seen[self.digest] = view
-        return view
+        held = self.held.get(self.digest)
+        if held is None:
+            return None
+        self.seen[self.digest] = held
+        return View(*held, offset)
 
-    def check(self, payload: dict, versions: tuple[str, str]) -> View:
-        """The view of the record ``payload`` of the line last looked up, which
-        the scan has checked anew."""
+    def check(self, payload: dict, offset: int) -> View:
+        """The view of the record ``payload`` of the line last looked up, at
+        byte ``offset``, which the scan has checked anew."""
         self.checked += 1
-        view = View(self.fingerprint(payload["problem_fp"]), payload["reward"], payload.get("stale", False), versions)
-        self.seen[self.digest] = view
-        return view
+        held = self.fingerprint(payload["problem_fp"]), payload["reward"], payload.get("stale", False)
+        self.seen[self.digest] = held
+        return View(*held, offset)
 
-    def save(self) -> None:
-        """Replace the sidecar with the views of the lines met, if the scan
-        checked one anew; a sidecar that cannot be written is left as it was."""
+    def save(self, versions: tuple[str, str]) -> None:
+        """Replace the sidecar with the records of the lines met, all under
+        ``versions``, if the scan checked one anew; a sidecar that cannot be
+        written is left as it was."""
         if not self.checked or self.rules is None:
             return
         fps: dict[Fingerprint, int] = {}
-        versions: dict[tuple[str, str], int] = {}
-        records = {
-            digest: [fps.setdefault(view.problem_fp, len(fps)), view.reward, view.stale,
-                     versions.setdefault(view.versions, len(versions))]
-            for digest, view in self.seen.items()
-        }  # fmt: skip
+        records = {d: [fps.setdefault(fp, len(fps)), r, s] for d, (fp, r, s) in self.seen.items()}
         # the bytes json_line gives the whole record, with the fingerprint table
         # (its key sorts first) encoded a payload at a time: encoded in one call,
         # its cells took 2.5 MB of small strings for 110 KB of text at 2,000 entries

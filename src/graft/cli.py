@@ -260,7 +260,7 @@ def cmd_loop(args) -> int:
     out_path = _resolve(args.out)
     memory_path = _resolve(args.memory)
     memory_path.touch()  # exists even when no attempt is made
-    with open(out_path, "w") as fh:
+    with open(out_path, "w", encoding="utf-8") as fh:
         for index in indices:
             problem = env.problems[index]
 

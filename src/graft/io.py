@@ -17,7 +17,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-from collections import namedtuple
 from io import BytesIO
 from itertools import chain
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from .build import Substrate, build_substrate, substrate_content_hash
 from .embedding import Embedding, Fingerprint
-from .errors import EmptyMemoryError, GraftError, VersionMismatchError
+from .errors import EmptyMemoryError, GraftError, GraphFormatError, VersionMismatchError
 from .graph import KnowledgeGraph, graph_from_document, graph_to_document, indented_json
 
 if TYPE_CHECKING:  # imported by the loaders that need them, so other subcommands skip them
@@ -101,7 +100,7 @@ def write_whole(path: str | Path, text: str) -> None:
     the old file whole.  A failed write names the target."""
     temporary = Path(f"{path}.{os.getpid()}.tmp")  # in the target's directory, so os.replace is atomic
     try:
-        temporary.write_text(text)
+        temporary.write_text(text, encoding="utf-8")
         os.replace(temporary, path)
     except OSError as exc:
         if exc.filename is None:
@@ -109,6 +108,19 @@ def write_whole(path: str | Path, text: str) -> None:
         raise type(exc)(exc.errno, exc.strerror, str(Path(path))) from None
     finally:
         temporary.unlink(missing_ok=True)
+
+
+def _decoded(where: str | Path, raw: bytes) -> str:
+    """``raw`` decoded as UTF-8, whatever the locale's encoding."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraftError(f"{where}: not UTF-8 ({exc})") from None
+
+
+def _read_text(path: str | Path) -> str:
+    """The file at ``path`` read as UTF-8; its line ends are kept."""
+    return _decoded(path, Path(path).read_bytes())
 
 
 def _parse_json(where: str | Path, text: str):
@@ -144,14 +156,22 @@ def _object(
 def load_object(
     path: str | Path, marker: str | None = None, fields: tuple[str, ...] = (), kinds: Mapping[str, Kind] = {}
 ) -> dict:
-    return _object(path, _parse_json(path, Path(path).read_text()), marker, fields, kinds)
+    return _object(path, _parse_json(path, _read_text(path)), marker, fields, kinds)
 
 
 # -- graph documents ---------------------------------------------------------
 
 
+def _graph(path: str | Path, doc) -> KnowledgeGraph:
+    """``graph_from_document(doc)``, its format errors naming ``path``."""
+    try:
+        return graph_from_document(doc)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
+
+
 def load_graph(path: str | Path) -> KnowledgeGraph:
-    return graph_from_document(load_object(path))
+    return _graph(path, load_object(path))
 
 
 # -- substrate ---------------------------------------------------------------
@@ -174,7 +194,7 @@ def load_substrate(path: str | Path) -> Substrate:
     doc = payload["graph"]
     if substrate_content_hash(doc) != payload["content_hash"]:
         raise GraftError(f"{path}: content hash mismatch, file has drifted")
-    s = build_substrate(graph_from_document(doc))
+    s = build_substrate(_graph(path, doc))
     if s.tree_version != payload.get("tree_version"):
         raise GraftError(f"{path}: recorded tree version does not match the rebuilt tree")
     return s
@@ -257,7 +277,7 @@ def load_method_list(path: str | Path) -> list[MethodTuple]:
     """A JSON array of picks objects (or method payloads), e.g. an avoid set."""
     from .policy import MethodTuple
 
-    payload = _parse_json(path, Path(path).read_text())
+    payload = _parse_json(path, _read_text(path))
     if not isinstance(payload, list):
         raise GraftError(f"{path}: expected a JSON array of method records")
     out = []
@@ -370,10 +390,7 @@ def _lines(fh) -> Iterator[tuple[int, bytes]]:
 
 def _record(where: str, raw: bytes) -> dict | None:
     """A memory line's record, checked on its own; None for a blank line."""
-    try:
-        line = raw.decode("utf-8")  # whatever the locale's encoding
-    except UnicodeDecodeError as exc:
-        raise GraftError(f"{where}: not UTF-8 ({exc})") from None
+    line = _decoded(where, raw)
     if not line.strip():
         return None
     try:  # the line end is trailing whitespace to the parser
@@ -403,8 +420,9 @@ def _scan(
 ) -> tuple[str, str]:
     """``scan_memory`` over ``fh``, the file at ``path`` opened in binary.
     With ``views``, ``keep`` gets each record's ``checked.View``: a line the
-    sidecar holds is not parsed again, and a scan that checked a line anew
-    and ended without error rewrites the sidecar."""
+    sidecar holds is not parsed again and has the sidecar's tree versions,
+    and a scan that checked a line anew and ended without error rewrites
+    the sidecar."""
     from .memory import check_entry
 
     versions: tuple[str, str] | None = None
@@ -418,23 +436,21 @@ def _scan(
 
             checked = Checked(path, _fingerprint_reader())
         for i, (offset, raw) in enumerate(_lines(fh), 1):
-            view = checked.view(raw) if views else None
+            view = checked.view(raw, offset) if views else None
             if view is None:
                 payload = _record(f"{path}:{i}", raw)
                 if payload is None:
                     continue
-                record_versions = (payload["problem_tree_version"], payload["action_tree_version"])
-            else:
-                record_versions = view.versions
+            pair = checked.versions if view else (payload["problem_tree_version"], payload["action_tree_version"])
             if versions is None:
-                versions = record_versions
-            elif versions != record_versions:
+                versions = pair
+            elif versions != pair:
                 raise VersionMismatchError(f"{path}:{i}: mixed tree versions in one memory file")
             try:
                 if view is None:
                     check_entry(payload["reward"], payload["observables"])
                     if views:
-                        view = checked.check(payload, versions)
+                        view = checked.check(payload, offset)
                 keep(offset, view if views else payload)
             except ValueError as exc:
                 raise GraftError(f"{path}:{i}: {exc}") from None
@@ -451,7 +467,7 @@ def _scan(
                 f"{path}: memory action tree {versions[1]} does not match {action_tree_version}"
             )
         if views:
-            checked.save()
+            checked.save(versions)
     finally:
         if collecting:
             gc.enable()
@@ -500,10 +516,6 @@ def count_memory(path: str | Path, problem_tree_version: str, action_tree_versio
     return len(records)
 
 
-# what ranking reads of a memory record, and the byte offset of its line
-_RankView = namedtuple("_RankView", "problem_fp reward stale offset")
-
-
 def load_neighbors(
     path: str | Path,
     p_new: Fingerprint,
@@ -517,14 +529,10 @@ def load_neighbors(
     scanned, so a file replaced in between is not the one read."""
     from .memory import MemoryRepository, rank_neighbors
 
-    kept: list[_RankView] = []
-
-    def keep(offset: int, view: View) -> None:
-        kept.append(_RankView(view.problem_fp, view.reward, view.stale, offset))
-
+    kept: list[View] = []
     read, built = _entry_reader(), []
     with _open_memory(path) as fh:
-        versions = _scan(path, fh, keep, problem_tree_version, action_tree_version, views=True)
+        versions = _scan(path, fh, lambda _, v: kept.append(v), problem_tree_version, action_tree_version, views=True)
         for record, similarity in rank_neighbors(MemoryRepository(*versions, entries=kept), p_new, n):
             fh.seek(record.offset)
             _, line = next(_lines(fh))

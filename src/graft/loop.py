@@ -108,10 +108,6 @@ class TrialResult:
     exhausted: bool
 
 
-def _iteration_seed(base_seed: int, iteration: int, stream: int) -> int:
-    return spawn_word(base_seed, iteration, stream)
-
-
 def advisor_edit(
     history: TrialHistory,
     last: MethodTuple,
@@ -198,12 +194,12 @@ def run_trial(
                 substrate,
                 policy,
                 strategy,
-                _iteration_seed(seed, n, stream=1),
+                spawn_word(seed, n, 1),
                 avoid=tried,
             )
         if m is None:
             try:
-                m = sample_method(substrate, policy, _iteration_seed(seed, n, stream=0), avoid=tried)
+                m = sample_method(substrate, policy, spawn_word(seed, n, 0), avoid=tried)
             except SupportExhaustedError:
                 exhausted = True
                 break

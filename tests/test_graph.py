@@ -155,3 +155,32 @@ def test_validate_accepts_iff_reduce_succeeds():
         except GraphValidationError:
             reduced = False
         assert ok == reduced
+
+
+EDGE_RA = {"parent": "r", "child": "a", "type": "c"}
+
+
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        ({"edges": [EDGE_RA, EDGE_RA]}, [("duplicate-edge", "r->a", "duplicate edge r -> a")]),
+        (
+            {"nodes": ["r", "a", "b"], "edges": [EDGE_RA, {"parent": "b", "child": "r", "type": "c"}]},
+            [("unreachable", "b", "unreachable node b"), ("root-entered", "r", "root r has incoming edges")],
+        ),
+        (
+            {"rules": [{"hint": "h", "trigger": [], "target": ["a"], "effect": "force"}]},
+            [("empty-trigger", "h", "rule 'h' has empty trigger")],
+        ),
+        (
+            {"rules": [{"hint": "h", "trigger": ["a"], "target": [], "effect": "zero_out"}]},
+            [("empty-target", "h", "rule 'h' has empty target")],
+        ),
+    ],
+    ids=["duplicate-edge", "root-entered", "empty-trigger", "empty-target"],
+)
+def test_validation_reports_duplicate_edges_an_entered_root_and_empty_rule_ends(fields, expected):
+    g = graph_from_document({"root": "r", "nodes": ["r", "a"], "edges": [EDGE_RA], **fields})
+    assert [(v.kind, v.subject, v.message) for v in validate_graph(g).violations] == expected
+    with pytest.raises(GraphValidationError):
+        reduce_to_tree(g)

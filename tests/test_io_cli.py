@@ -11,6 +11,7 @@ from graft import (
     MemoryEntry,
     MemoryRepository,
     MethodTuple,
+    ProbabilityRow,
     build_substrate,
     fingerprint,
     layout,
@@ -20,8 +21,10 @@ from graft import (
     uniform_rows,
 )
 from graft import io
+from graft.cli import main
 from graft.fixtures import morning_graph, morning_graph_document
 from graft.graph import graph_from_document
+from graft.memory import prior_from_neighbors
 
 
 def run_cli(*argv, cwd=None, env=None):
@@ -399,3 +402,27 @@ class TestCli:
         )
         assert out.returncode == 1
         assert "does not match" in out.stderr
+
+
+def test_a_certain_rule_is_baked_into_the_prior_rows(tmp_path):
+    # breakfast heads a top chain, so a rule it triggers fires on every tuple,
+    # and the prior itself forces transport_bike
+    doc = morning_graph_document()
+    doc["rules"].append(
+        {"hint": "breakfast means the bike", "trigger": ["breakfast"], "target": ["transport_bike"], "effect": "force"}
+    )
+    s = build_substrate(graph_from_document(doc))
+    assert [rule.certain for rule in s.rules] == [False, True]
+    prior = prior_from_neighbors([], s)
+    bike = ProbabilityRow(options=("transport_bike", "transport_car"), mass=(1.0, 0.0))
+    assert prior.rows == {**uniform_rows(s).rows, "transport": bike}
+
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    (tmp_path / "memory.jsonl").touch()
+    main(["--quiet", "build", str(tmp_path / "g.json"), "--out", str(tmp_path / "s.json")])
+    fp = ["fingerprint", str(tmp_path / "s.json"), "--path", "breakfast,breakfast_yes", "--k", "auto"]
+    main(["--quiet", *fp, "--out", str(tmp_path / "p.fp")])
+    argv = ["prior", str(tmp_path / "memory.jsonl"), str(tmp_path / "s.json"), "--problem", str(tmp_path / "p.fp")]
+    assert main(["--quiet", *argv, "--out", str(tmp_path / "rows.json")]) == 0
+    io.save_rows(prior, tmp_path / "expected.json")
+    assert (tmp_path / "rows.json").read_bytes() == (tmp_path / "expected.json").read_bytes()

@@ -350,12 +350,12 @@ EDITS = ("append-valid", "append-invalid", "truncate", "change-byte", "swap", "m
 
 
 CORRUPTIONS = {  # a well-formed sidecar whose views are not: each makes the whole sidecar unusable
-    "short-view": lambda doc: {**doc, "records": {d: v[:3] for d, v in doc["records"].items()}},
-    "reward-string": lambda doc: {**doc, "records": {d: [f, str(r), s, v] for d, (f, r, s, v) in doc["records"].items()}},
-    "reward-out-of-range": lambda doc: {**doc, "records": {d: [f, 500, s, v] for d, (f, r, s, v) in doc["records"].items()}},
-    "stale-number": lambda doc: {**doc, "records": {d: [f, r, 1, v] for d, (f, r, s, v) in doc["records"].items()}},
-    "fingerprint-index": lambda doc: {**doc, "records": {d: [len(doc["fingerprints"]), r, s, v] for d, (f, r, s, v) in doc["records"].items()}},
-    "versions-triple": lambda doc: {**doc, "versions": [[*pair, "x"] for pair in doc["versions"]]},
+    "short-view": lambda doc: {**doc, "records": {d: v[:2] for d, v in doc["records"].items()}},
+    "reward-string": lambda doc: {**doc, "records": {d: [f, str(r), s] for d, (f, r, s) in doc["records"].items()}},
+    "reward-out-of-range": lambda doc: {**doc, "records": {d: [f, 500, s] for d, (f, r, s) in doc["records"].items()}},
+    "stale-number": lambda doc: {**doc, "records": {d: [f, r, 1] for d, (f, r, s) in doc["records"].items()}},
+    "fingerprint-index": lambda doc: {**doc, "records": {d: [len(doc["fingerprints"]), r, s] for d, (f, r, s) in doc["records"].items()}},
+    "versions-triple": lambda doc: {**doc, "versions": [*doc["versions"], "x"]},
     "cells-not-triples": lambda doc: {**doc, "fingerprints": [{**fp, "cells": [[0, 0]]} for fp in doc["fingerprints"]]},
 }  # fmt: skip
 
@@ -430,7 +430,7 @@ def test_a_sidecar_never_changes_what_record_neighbors_and_prior_give(case):
         for argv in map(partial(_within, tmp), commands):
             expected, fresh = _outcome(tmp, argv, edited, None)
             assert expected[4] == edited or (argv[0] == "record" and expected[4].startswith(edited))
-            empty = {"fingerprints": [], "format": checked.FORMAT, "records": {}, "rules": checked.rules(), "versions": []}
+            empty = {"fingerprints": [], "format": checked.FORMAT, "records": {}, "rules": checked.rules(), "versions": [E.tree_version, S.tree_version]}
             whole = earlier or io.json_line(empty).encode()
             states = {
                 "fresh": fresh,
@@ -476,11 +476,11 @@ def test_the_sidecar_is_one_json_line_record_of_the_lines_scanned(tmp_path):
     doc = json.loads(text)
     assert text == io.json_line(doc) and doc["format"] == "graft-memory-checked/1" and doc["rules"] == checked.rules()
     loaded = io.load_memory(path)
-    assert doc["versions"] == [[loaded.problem_tree_version, loaded.action_tree_version]]
+    assert doc["versions"] == [loaded.problem_tree_version, loaded.action_tree_version]
     assert sorted(doc["records"]) == sorted(hashlib.sha256(line).hexdigest() for line in lines)
     for line, entry in zip(lines, loaded.entries):
-        f, reward, stale, v = doc["records"][hashlib.sha256(line).hexdigest()]
-        assert (reward, stale, v) == (entry.reward, entry.stale, 0)
+        f, reward, stale = doc["records"][hashlib.sha256(line).hexdigest()]
+        assert (reward, stale) == (entry.reward, entry.stale)
         fp = doc["fingerprints"][f]
         assert Fingerprint(frozenset(map(tuple, fp["cells"])), fp["resolution"], fp["tree_tag"], fp["keep"]) == entry.problem_fp
 

@@ -7,6 +7,7 @@ import pytest
 from graft import (
     EnumerationCapError,
     MethodTuple,
+    PolicyRows,
     ProbabilityRow,
     RuleSupportError,
     SupportExhaustedError,
@@ -303,6 +304,22 @@ class TestSampling:
         target = support[7]
         avoid = frozenset(m for m in support if m != target)
         assert sample_method(morning_substrate, morning_rows, 5, avoid=avoid) == target
+
+    def test_the_fallback_draws_what_the_rejection_draws_missed(self, morning_substrate, morning_rows, monkeypatch):
+        # breakfast_no has mass 2**-40, so the 64 rejection draws against an avoid
+        # set of every other tuple miss the one left, and the enumeration finds it
+        import graft.policy
+
+        row = ProbabilityRow(options=("breakfast_no", "breakfast_yes"), mass=(2.0**-40, 1.0 - 2.0**-40))
+        rows = PolicyRows(rows={**morning_rows.rows, "breakfast": row}, tree_version=morning_rows.tree_version)
+        support = [m for m, p in enumerate_support(morning_substrate, rows) if p > 0.0]
+        target = next(m for m in support if m.picks["breakfast"] == "breakfast_no")
+        avoid = frozenset(m for m in support if m != target)
+        enumerated = []
+        enumerate_all = graft.policy.enumerate_support
+        monkeypatch.setattr(graft.policy, "enumerate_support", lambda *a: enumerated.append(a) or enumerate_all(*a))
+        assert sample_method(morning_substrate, rows, 0, avoid=avoid) == target
+        assert len(enumerated) == 1
 
     def test_support_exhausted(self, morning_substrate, morning_rows):
         avoid = frozenset(m for m, p in enumerate_support(morning_substrate, morning_rows) if p > 0.0)

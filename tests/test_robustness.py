@@ -10,6 +10,7 @@ import pytest
 
 from graft import MethodTuple, build_substrate, enumerate_support, graph_from_document, layout, sample_method, uniform_rows
 from graft import io
+from graft.build import substrate_content_hash
 from graft.embedding import fingerprint
 from graft.fixtures import morning_graph_document
 from graft.graph import graph_to_document
@@ -163,6 +164,36 @@ def _graph_holding(needle, **fields):
     return _file_holding(json.dumps(doc), ["validate", "bad.json"], needle)
 
 
+def _bytes_holding(raw, argv, needle):
+    """``_file_holding`` with ``bad.json`` holding the bytes ``raw``."""
+
+    def write(tmp_path):
+        _file_holding("", argv, needle)(tmp_path)
+        (tmp_path / "bad.json").write_bytes(raw)
+        return argv, needle
+
+    return write
+
+
+def _avoid_holding(text, needle):
+    """``_workdir_holding`` with uniform rows ``rows.json``, through ``graft sample --avoid bad.json``."""
+
+    def write(tmp_path):
+        argv = ["sample", "asub.json", "--rows", "rows.json", "--seed", "0", "--avoid", "bad.json"]
+        _workdir_holding(text, argv, needle)(tmp_path)
+        io.save_rows(uniform_rows(io.load_substrate(tmp_path / "asub.json")), tmp_path / "rows.json")
+        return argv, needle
+
+    return write
+
+
+def _substrate_holding(needle, **fields):
+    """A substrate file, its hash matching, whose graph is ``_graph_holding``'s, through ``graft footprint``."""
+    doc = {"root": "r", "nodes": ["r", "a"], "edges": [{"parent": "r", "child": "a", "type": "c"}], **fields}
+    payload = {"format": "graft-substrate/1", "graph": doc, "content_hash": substrate_content_hash(doc), "tree_version": "v"}
+    return _file_holding(json.dumps(payload), ["footprint", "bad.json"], needle)
+
+
 NEIGHBORS = ["neighbors", "bad.json", "--problem", "p.fp"]
 LOOP = ["loop", "asub.json", "memory.jsonl", "--budget", "1", "--seed", "0", "--out", "report.jsonl"]
 RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.fp", "--method", "m.json"]
@@ -276,6 +307,18 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
             [*LOOP, "--env-spec", "bad.json"],
             "bad.json: convergence_reward must be finite, found nan",
         ),
+        _avoid_holding('{"picks": {}}', "bad.json: expected a JSON array of method records"),
+        _avoid_holding('[{"picks": {"breakfast": 1}}]', "bad.json: bad method record {'picks': {'breakfast': 1}}"),
+        _bytes_holding(
+            b'{"root": "caf\xe9"}', ["validate", "bad.json"],
+            "bad.json: not UTF-8 ('utf-8' codec can't decode byte 0xe9 in position 13: invalid continuation byte)",
+        ),
+        _graph_holding("bad.json: field 'nodes' must be a list", nodes=5),
+        _file_holding(
+            json.dumps({"root": "r", "nodes": 5}), ["build", "bad.json", "--out", "s.json"],
+            "bad.json: field 'nodes' must be a list",
+        ),
+        _substrate_holding("bad.json: field 'nodes' must be a list", nodes=5),
     ],
     ids=[
         "array", "string", "number", "empty-array", "memory-line-array", "no-graph", "no-content-hash",
@@ -287,7 +330,9 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
         "graph-edges-object", "graph-rules-string", "graph-canonical-parent-array", "graph-rule-trigger-string",
         "graph-rule-target-number", "graph-rule-node-list", "graph-edge-end-list", "graph-canonical-parent-list",
         "graph-rule-hint-list", "record-observable-nan", "record-observable-infinity", "memory-observable-infinity",
-        "env-spec-noise-nan", "env-spec-noise-huge-int", "env-spec-convergence-nan",
+        "env-spec-noise-nan", "env-spec-noise-huge-int", "env-spec-convergence-nan", "avoid-not-a-list",
+        "avoid-bad-record", "json-not-utf-8", "graph-error-names-its-file", "build-error-names-its-file",
+        "substrate-graph-error-names-its-file",
     ],
 )
 def test_malformed_files_end_in_one_error_line(case, tmp_path):
@@ -324,6 +369,34 @@ def test_record_refuses_a_method_outside_the_substrate(edit, tmp_path):
     out = run_cli(*RECORD, "--reward", "1", cwd=tmp_path)
     assert_one_error_line(out)
     assert (tmp_path / "memory.jsonl").read_bytes() == before
+
+
+def test_record_refuses_a_value_on_a_chain_whose_gate_is_shut(tmp_path):
+    # on the morning substrate every gate is the one value of the chain clothes,
+    # so a tuple can shut one only by a null there, which record refuses first
+    _file_holding("", [], "")(tmp_path)  # p.fp
+    (tmp_path / "g.json").write_text(json.dumps(nesting_chain_document(2)))  # c1 nests under c0_b
+    assert run_cli("build", "g.json", "--out", "asub.json", cwd=tmp_path).returncode == 0
+    io.save_method(MethodTuple.from_picks({"c0": "c0_a", "c1": "c1_a"}), tmp_path / "m.json")
+    out = run_cli(*RECORD, "--reward", "1", cwd=tmp_path)
+    assert_one_error_line(out)
+    assert "chain c1 carries 'c1_a' although its gate c0 = 'c0_b' is not met" in out.stderr
+    assert not (tmp_path / "memory.jsonl").exists()
+
+
+@pytest.mark.parametrize("locale", [{}, {"LC_ALL": "C", "PYTHONUTF8": "0"}], ids=["default", "c-locale"])
+def test_a_non_ascii_graph_builds_the_same_bytes_under_any_locale(locale, tmp_path):
+    doc = morning_graph_document()
+    doc["nodes"][1]["hint"] = "café au lait"
+    (tmp_path / "cafe.json").write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, GRAFT_WORKSPACE=str(tmp_path), **locale)
+    argv = [sys.executable, "-m", "graft", "--quiet", "build", "cafe.json", "--out", "sub.json"]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    expected = build_substrate(graph_from_document(doc))
+    io.save_substrate(expected, tmp_path / "expected.json")
+    assert (tmp_path / "sub.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+    assert io.load_substrate(tmp_path / "sub.json").graph.hints["breakfast"] == "café au lait"
 
 
 def test_loop_keeps_every_attempt_it_reported_when_a_trial_fails(tmp_path):
