@@ -106,10 +106,8 @@ class Substrate:
 
     @cached_property
     def gate(self) -> dict[str, tuple[str, str]]:
-        """chain id -> (enclosing chain, required enclosing value).
+        """chain id -> (enclosing chain, required enclosing value), as ``active`` reads it.
 
-        A chain is active in a tuple exactly when its gate chain resolved to
-        the required value; top chains have no gate and are always active.
         The required value is the tree parent of the chain's root, which for
         a decision enclosing chain is one of its alphabet terminals and for
         a pass-through enclosing chain is its root (its presence marker).
@@ -119,6 +117,12 @@ class Substrate:
             root = self.chains.chains[cid].root
             out[cid] = (parent_chain, self.tree.parent[root])
         return out
+
+    def active(self, chain_id: str, picks: dict[str, str | None]) -> bool:
+        """The gate rule: a top chain is always active, and a nested chain exactly
+        when ``picks`` gives its gate chain the required value (see ``gate``)."""
+        gate = self.gate.get(chain_id)
+        return gate is None or picks.get(gate[0]) == gate[1]
 
     def chain_value_domain(self, chain_id: str) -> tuple[str, ...]:
         """Values a chain can carry when active (presence marker if pass-through)."""

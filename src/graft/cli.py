@@ -174,16 +174,15 @@ def cmd_prob(args) -> int:
 
 
 def _check_gates(s, m) -> None:
-    """Refuse a tuple no draw can produce: a null on a chain whose gate is
-    met (top chains have none), or a value on a chain whose gate is not."""
+    """Refuse a tuple no draw can produce: a null on a chain that
+    ``Substrate.active`` calls active, or a value on a chain it calls inactive."""
     picks = m.picks
     for cid in s.chain_order:
-        gate = s.gate.get(cid)
-        active = gate is None or picks[gate[0]] == gate[1]
-        if active and picks[cid] is None:
-            raise GraftError(f"chain {cid} is active in this method but carries null")
-        if not active and picks[cid] is not None:
-            raise GraftError(f"chain {cid} carries {picks[cid]!r} although its gate {gate[0]} = {gate[1]!r} is not met")
+        if s.active(cid, picks) == (picks[cid] is None):
+            if picks[cid] is None:
+                raise GraftError(f"chain {cid} is active in this method but carries null")
+            gate_chain, value = s.gate[cid]  # only to word the message
+            raise GraftError(f"chain {cid} carries {picks[cid]!r} although its gate {gate_chain} = {value!r} is not met")
 
 
 def cmd_record(args) -> int:
@@ -224,6 +223,7 @@ def cmd_neighbors(args) -> int:
 def cmd_loop(args) -> int:
     import dataclasses
 
+    from .graph import graph_to_document
     from .loop import SyntheticEnvSpec, make_synthetic_env, run_trial
 
     s = _load_substrate_for(args)
@@ -235,9 +235,12 @@ def cmd_loop(args) -> int:
         raise GraftError(f"{spec_path}: unknown field {unknown[0]!r}")
     if args.env != "synthetic":
         raise GraftError(f"unknown environment {args.env!r}; only 'synthetic' ships built-in")
-    for key in ("problem_graph", "action_graph"):
-        if isinstance(spec_payload.get(key), str):
-            spec_payload[key] = io.load_object(_resolve(spec_payload[key]))
+    for key in ("problem_graph", "action_graph"):  # a format error names the graph file, or the spec and key
+        value = spec_payload.get(key)
+        if isinstance(value, str):
+            spec_payload[key] = graph_to_document(io.load_graph(_resolve(value)))
+        elif isinstance(value, dict):
+            spec_payload[key] = graph_to_document(io._graph(f"{spec_path}: {key}", value))
     spec = SyntheticEnvSpec(**spec_payload)
     try:
         spec.validate()

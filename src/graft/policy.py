@@ -9,9 +9,9 @@ commute on the same chain, and are duals under set complement.
 Every chain, including a pass-through chain whose root carries no
 s-decision, is a variable of the factored policy: a decision chain takes an
 alphabet member or the inactive marker (None), a pass-through chain takes
-its root id as a presence marker or None.  A chain is active exactly when
-its enclosing chain resolved to the tree parent of the chain's root, so
-activity reads only the dependency-graph parents.
+its root id as a presence marker or None.  Whether a chain is active is
+``Substrate.active``'s to say (the gate rule); it reads only the chain's
+gate, one of its dependency-graph parents.
 """
 
 from __future__ import annotations
@@ -162,14 +162,12 @@ def _check_lower_levels_resolved(substrate: Substrate, chain_id: str, resolved) 
 @dataclass(frozen=True)
 class CompiledPolicy:
     """The kernel table of one (substrate, rows) pair, from ``compile_policy``:
-    a snapshot of the rows, which later edits to them do not reach.  Readers
-    go in ``chain_order``, so a chain's parents are resolved before it."""
+    a snapshot of the rows, which later edits to them do not reach.  Readers go
+    in the substrate's ``chain_order``, so a chain's parents are resolved before it."""
 
     substrate: Substrate
     priors: dict[str, ProbabilityRow]  # decision chain -> its prior over its alphabet
     rules: dict[str, tuple[CompiledRule, ...]]  # target chain -> its eligible rules, in rule-list order
-    gate: dict[str, tuple[str, str]]
-    chain_order: tuple[str, ...]
     kernels: dict[str, dict[Optional[str], float]]  # chain -> its kernel when active and no rule fires
 
     def edited(self, chain_id: str, resolved: Mapping[str, Optional[str]]) -> ProbabilityRow:
@@ -182,8 +180,7 @@ class CompiledPolicy:
     def kernel(self, chain_id: str, resolved: Mapping[str, Optional[str]]) -> dict[Optional[str], float]:
         """Kernel over the augmented alphabet; a value it leaves out has mass 0
         (a shut gate's kernel holds the inactive marker alone).  Read it only."""
-        gate = self.gate.get(chain_id)
-        if gate is not None and resolved.get(gate[0]) != gate[1]:
+        if not self.substrate.active(chain_id, resolved):
             return {INACTIVE: 1.0}
         dist = self.edited(chain_id, resolved) if chain_id in self.rules else None
         if dist is None or dist is self.priors[chain_id]:  # no rule fired, or none changed the prior
@@ -213,7 +210,7 @@ def compile_policy(substrate: Substrate, rows: PolicyRows | CompiledPolicy) -> C
     for rule in substrate.rules:
         if rule.eligible:
             rules[rule.target_chain] = rules.get(rule.target_chain, ()) + (rule,)
-    return CompiledPolicy(substrate, priors, rules, substrate.gate, substrate.chain_order, kernels)
+    return CompiledPolicy(substrate, priors, rules, kernels)
 
 
 def edited_chain_distribution(
@@ -256,7 +253,7 @@ def method_probability(substrate: Substrate, rows: PolicyRows | CompiledPolicy, 
     validate_tuple(substrate, m)
     picks = m.picks
     prob = 1.0
-    for cid in policy.chain_order:
+    for cid in substrate.chain_order:
         factor = policy.kernel(cid, picks).get(picks[cid], 0.0)
         if factor == 0.0:
             return 0.0
@@ -287,7 +284,7 @@ def enumerate_support(
     if substrate.joint_size > cap:
         raise EnumerationCapError(f"joint size {substrate.joint_size} exceeds cap {cap}")
 
-    order = policy.chain_order
+    order = substrate.chain_order
     out: list[tuple[MethodTuple, float]] = []
     resolved: dict[str, Optional[str]] = {}  # picks of order[:depth], in order
     stack: list[tuple[int, Optional[str], float]] = []  # (depth, value, mass with it)
@@ -325,7 +322,7 @@ def _draw(rng: Stream, options: list[Optional[str]], weights: list[float]) -> Op
 
 def _sample_once(policy: CompiledPolicy, rng: Stream) -> MethodTuple:
     resolved: dict[str, Optional[str]] = {}
-    for cid in policy.chain_order:
+    for cid in policy.substrate.chain_order:
         kernel = policy.kernel(cid, resolved)
         values = [v for v, w in kernel.items() if w > 0.0]
         resolved[cid] = values[0] if len(values) == 1 else _draw(rng, values, [kernel[v] for v in values])

@@ -22,10 +22,13 @@ from graft import (
     sample_method,
     uniform_rows,
 )
+from graft import cli
+from graft.errors import GraftError
 from graft.graph import graph_from_document
 from graft.fixtures import morning_graph_document
+from graft.policy import INACTIVE, compile_policy, validate_tuple
 
-from oracles import oracle_joint, random_rows, random_substrate
+from oracles import _oracle_active, oracle_joint, random_rows, random_substrate
 
 
 ROW = ProbabilityRow(options=("a", "b", "c"), mass=(0.5, 0.3, 0.2))
@@ -289,6 +292,52 @@ class TestOracleEquality:
             for m, p in oracle.items():
                 assert abs(support[m] - p) < 1e-12
                 assert abs(method_probability(s, rows, m) - p) < 1e-12
+
+
+class TestGateRule:
+    """``Substrate.active`` owns the gate rule; record's check and the compiled
+    kernel read it, and all three agree with the oracle's own activity."""
+
+    BUDGET = 120  # random substrates checked, each with at most MAX_TUPLES tuples
+    MAX_TUPLES = 1000
+
+    @staticmethod
+    def recorded(s, m) -> bool:
+        """Whether ``graft record`` takes ``m``: ``validate_tuple``, then the gate check."""
+        try:
+            validate_tuple(s, m)
+            cli._check_gates(s, m)
+        except (ValueError, GraftError):
+            return False
+        return True
+
+    def test_record_the_kernel_and_the_oracle_read_one_gate_rule(self):
+        checked, skipped = 0, []
+        for seed in itertools.count():
+            if checked == self.BUDGET:
+                break
+            s = random_substrate(seed)
+            domains = [list(s.chain_value_domain(cid)) + [None] for cid in s.chain_order]
+            if math.prod(map(len, domains)) > self.MAX_TUPLES:
+                continue
+            rows = uniform_rows(s)
+            try:
+                admissible = set(oracle_joint(s, rows))
+            except RuleSupportError:  # the rules conflict on some tuple; the build does not refuse that yet
+                skipped.append(seed)
+                continue
+            checked += 1
+            every = [MethodTuple.from_picks(dict(zip(s.chain_order, combo))) for combo in itertools.product(*domains)]
+            assert {m for m in every if self.recorded(s, m)} == admissible, seed
+            policy = compile_policy(s, rows)
+            for m in admissible:
+                picks = m.picks
+                for i, cid in enumerate(s.chain_order):
+                    active = s.active(cid, picks)
+                    assert active == _oracle_active(s, cid, picks), (seed, cid, picks)
+                    resolved = {c: picks[c] for c in s.chain_order[:i]}  # what a draw has resolved when it reaches cid
+                    assert (policy.kernel(cid, resolved) == {INACTIVE: 1.0}) == (not active), (seed, cid, picks)
+        assert len(skipped) <= self.BUDGET // 4, skipped
 
 
 class TestSampling:

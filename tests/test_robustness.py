@@ -194,6 +194,23 @@ def _substrate_holding(needle, **fields):
     return _file_holding(json.dumps(payload), ["footprint", "bad.json"], needle)
 
 
+def _spec_naming_graph(inline):
+    """``_workdir_holding`` with ``bad.json`` a graph whose nodes are not a list, given to ``graft loop`` as
+    the problem graph of the spec ``spec.json``: inline, or by its file name.  The needle is the whole line."""
+
+    def write(tmp_path):
+        graph = {"root": "r", "nodes": 5}
+        argv = [*LOOP, "--env-spec", "spec.json"]
+        where = f"{tmp_path / 'spec.json'}: problem_graph" if inline else tmp_path / "bad.json"
+        needle = f"error: {where}: field 'nodes' must be a list\n"
+        _workdir_holding(json.dumps(graph), argv, needle)(tmp_path)
+        spec = {"problem_count": 3, "mutation_rate": 0.4, "noise_level": 1.0, "action_graph": "ag.json"}
+        (tmp_path / "spec.json").write_text(json.dumps({**spec, "problem_graph": graph if inline else "bad.json"}))
+        return argv, needle
+
+    return write
+
+
 NEIGHBORS = ["neighbors", "bad.json", "--problem", "p.fp"]
 LOOP = ["loop", "asub.json", "memory.jsonl", "--budget", "1", "--seed", "0", "--out", "report.jsonl"]
 RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.fp", "--method", "m.json"]
@@ -319,6 +336,8 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
             "bad.json: field 'nodes' must be a list",
         ),
         _substrate_holding("bad.json: field 'nodes' must be a list", nodes=5),
+        _spec_naming_graph(inline=False),
+        _spec_naming_graph(inline=True),
     ],
     ids=[
         "array", "string", "number", "empty-array", "memory-line-array", "no-graph", "no-content-hash",
@@ -332,7 +351,8 @@ RECORD = ["record", "memory.jsonl", "--substrate", "asub.json", "--problem", "p.
         "graph-rule-hint-list", "record-observable-nan", "record-observable-infinity", "memory-observable-infinity",
         "env-spec-noise-nan", "env-spec-noise-huge-int", "env-spec-convergence-nan", "avoid-not-a-list",
         "avoid-bad-record", "json-not-utf-8", "graph-error-names-its-file", "build-error-names-its-file",
-        "substrate-graph-error-names-its-file",
+        "substrate-graph-error-names-its-file", "env-spec-graph-file-error-names-its-file",
+        "env-spec-inline-graph-error-names-the-spec",
     ],
 )
 def test_malformed_files_end_in_one_error_line(case, tmp_path):
@@ -352,15 +372,23 @@ def _loop_workdir(tmp_path, action_doc):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, line",
     [
-        lambda picks: {"breakfast": picks["breakfast"]},
-        lambda picks: {**picks, "breakfast": "transport_bike"},
-        lambda picks: {**picks, "clothes": None},  # helmet and style keep values their gate no longer allows
+        (
+            lambda picks: {"breakfast": picks["breakfast"]},
+            "error: method tuple malformed (missing ['clothes', 'helmet', 'style', 'transport'], unknown [])",
+        ),
+        (
+            lambda picks: {**picks, "breakfast": "transport_bike"},
+            "error: value 'transport_bike' is not in the domain of chain breakfast",
+        ),
+        # clothes is a top chain, so always active: its null is refused before
+        # record reads helmet and style, whose gate it is
+        (lambda picks: {**picks, "clothes": None}, "error: chain clothes is active in this method but carries null"),
     ],
     ids=["one-chain-only", "value-of-another-chain", "null-on-a-gated-chain"],
 )
-def test_record_refuses_a_method_outside_the_substrate(edit, tmp_path):
+def test_record_refuses_a_method_outside_the_substrate(edit, line, tmp_path):
     _workdir_holding("{}", [], "")(tmp_path)  # asub.json, m.json and p.fp
     assert run_cli(*RECORD, "--reward", "1", cwd=tmp_path).returncode == 0
     before = (tmp_path / "memory.jsonl").read_bytes()
@@ -368,6 +396,7 @@ def test_record_refuses_a_method_outside_the_substrate(edit, tmp_path):
     io.save_method(MethodTuple.from_picks(edit(picks)), tmp_path / "m.json")
     out = run_cli(*RECORD, "--reward", "1", cwd=tmp_path)
     assert_one_error_line(out)
+    assert out.stderr == line + "\n"
     assert (tmp_path / "memory.jsonl").read_bytes() == before
 
 
